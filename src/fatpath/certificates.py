@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .graphs import Graph
 
-__all__ = ["Certificate"]
+__all__ = ["Certificate", "CertificateError", "checked"]
 
 
 @dataclass(frozen=True)
@@ -45,3 +46,28 @@ class Certificate:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+class CertificateError(RuntimeError):
+    """A solver step produced a witness that does not validate: a bug in the
+    solver, never a verdict."""
+
+
+def checked(
+    g: Graph,
+    kind: str,
+    seq: Optional[Sequence[int]],
+    hamiltonian: bool = False,
+    weights: Optional[Sequence[int]] = None,
+    target: int = 0,
+) -> Certificate:
+    """The certificate for seq, if it validates on g (and, with weights, has
+    total weight >= target); CertificateError otherwise.  An explicit check,
+    so it also holds under ``python -O``."""
+    if seq is not None:
+        cert = Certificate(kind, tuple(seq))
+        if cert.validate(g, hamiltonian) and (
+            weights is None or sum(weights[v] for v in seq) >= target
+        ):
+            return cert
+    raise CertificateError(f"{kind} witness {seq} does not validate")

@@ -54,11 +54,17 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _load_instance(path: str) -> geometry.GeometricInstance:
+    try:
+        return geometry.instance_from_json(_read_text(path))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InputError(f"malformed instance {path}: {exc!r}")
+
+
 def _load_graph(args) -> Graph:
-    text = _read_text(args.input)
     if args.input.endswith(".json"):
-        inst = geometry.instance_from_json(text)
-        return geometry.intersection_graph(inst)
+        return geometry.intersection_graph(_load_instance(args.input))
+    text = _read_text(args.input)
     try:
         return read_graph(text)
     except ValueError as exc:
@@ -79,8 +85,6 @@ def _config(args) -> SolverConfig:
         kw["c_rep"] = args.crep
     if getattr(args, "d", None) is not None:
         kw["d"] = args.d
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
     return SolverConfig(**kw)
 
 
@@ -94,8 +98,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    inst = geometry.instance_from_json(_read_text(args.input))
-    g = geometry.intersection_graph(inst)
+    g = geometry.intersection_graph(_load_instance(args.input))
     _write_text(args.output, write_graph(g))
     return 0
 

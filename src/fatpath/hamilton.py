@@ -3,30 +3,36 @@
 Pipeline: make every part a clique (red edges), pick bounded cross-edge
 sets (blue edges), shrink each part to its blue-incident vertices plus one
 special vertex, solve the compressed graph by treewidth DP, then lift the
-witness back: clique parts absorb their missing vertices next to the
-special vertex, highly connected parts get their intra-part subpaths
-replaced by exact spanning linkages.  Any linkage failure flags the part
-and the solve is retried with that part kept verbatim, so soundness never
-depends on the desk-scale connectivity constants.
+witness back.  reconstruct maps H ids to input ids and lets clique parts
+absorb their missing vertices next to the special vertex.
+
+This module also holds the lift that the long path solver shares: _lift
+splits the witness into same-part runs, replaces the runs inside linked
+parts by exact spanning linkages and validates the result, raising
+FallbackRequired for a part it cannot lift.  _fallback_loop then retries
+the solve with that part kept verbatim (raw), so soundness never depends on
+the desk-scale connectivity constants.  Every certificate a DP or search
+step returns passes certificates.checked, which raises CertificateError
+instead of asserting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .certificates import Certificate
+from .certificates import Certificate, checked
 from .dp import solve_dp
 from .graphs import Graph
-from .linkage import LinkageRequest, find_spanning_linkage
+from .linkage import SIZE_GUARD, LinkageRequest, find_spanning_linkage
 from .partition import (
     CLIQUE,
-    LINKED,
     RAW,
     Partition,
     SolverConfig,
-    build_quotient,
+    cross_edges,
     kappa_partition,
+    quotient_degree,
     refine_to_linked,
 )
 from .treewidth import TreeDecomposition, heuristic_decomposition
@@ -92,17 +98,8 @@ def select_blue_edges(
     degree; its adequacy is enforced by oracle-equivalence tests."""
     if strategy not in ("all", "bounded"):
         raise ValueError(f"unknown blue strategy {strategy!r}")
-    owner = p.part_of()
-    cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in gx.base.edges():
-        a, b = owner[u], owner[v]
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        edge = (u, v) if a < b else (v, u)
-        cross.setdefault(key, []).append(edge)
-    quotient = build_quotient(gx.base, p.parts)
-    delta = max(quotient.graph.max_degree(), 1)
+    cross = cross_edges(gx.base, p.part_of())
+    delta = max(quotient_degree(cross), 1)
     cap = 4 * (2 * delta - 1) ** 2
     per_endpoint = 2 * delta
     sets: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -221,13 +218,9 @@ def _edges_to_sequence(
         step = min(nxt)
         if kind == "cycle" and step == start:
             break
-        if kind == "path" and len(seq) == len(adj):
-            break
         seq.append(step)
         prev, cur = cur, step
-        if kind == "cycle" and len(seq) == len(adj):
-            break
-        if kind == "path" and len(seq) == len(adj):
+        if len(seq) == len(adj):
             break
     if len(seq) != len(adj):
         return None
@@ -249,7 +242,7 @@ def _dfs_ham(h: Graph, kind: str) -> Optional[Certificate]:
             v, used, seq = stack.pop()
             if used == full:
                 if kind == "path" or masks[v] >> s & 1:
-                    return Certificate(kind, seq)
+                    return checked(h, kind, seq, hamiltonian=True)
                 continue
             free = ~used & full
             # dead vertex prune: an unvisited vertex with no free neighbor
@@ -283,10 +276,7 @@ def hamiltonian_cycle_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificat
     if edges is None:
         return None
     seq = _edges_to_sequence(h.n, edges, "cycle")
-    assert seq is not None and len(seq) == h.n
-    cert = Certificate("cycle", tuple(seq))
-    assert cert.validate(h, hamiltonian=True)
-    return cert
+    return checked(h, "cycle", seq, hamiltonian=True)
 
 
 def hamiltonian_path_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificate]:
@@ -296,10 +286,7 @@ def hamiltonian_path_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificate
     if edges is None:
         return None
     seq = _edges_to_sequence(h.n, edges, "path")
-    assert seq is not None and len(seq) == h.n
-    cert = Certificate("path", tuple(seq))
-    assert cert.validate(h, hamiltonian=True)
-    return cert
+    return checked(h, "path", seq, hamiltonian=True)
 
 
 class FallbackRequired(Exception):
@@ -327,91 +314,106 @@ def _runs(seq: list[int], owner: dict[int, int], cyclic: bool) -> list[list[int]
     return runs
 
 
+def _lift(
+    g: Graph,
+    p: Partition,
+    seq: list[int],
+    kind: str,
+    raw_parts: frozenset[int],
+    hamiltonian: bool,
+) -> Certificate:
+    """The lift both solvers share, from a witness sequence in input ids.
+
+    The sequence is split into maximal same-part runs.  In every linked part
+    that is not raw, the runs of two or more vertices are replaced by an
+    exact spanning linkage of the part minus its one-vertex runs; clique and
+    raw parts keep their runs, whose edges are input edges.  The joined
+    sequence must then validate on g.  Any failure raises FallbackRequired
+    naming the part to keep whole in the next round.
+    """
+    owner = p.part_of()
+    runs = _runs(seq, owner, kind == "cycle")
+    by_part: dict[int, list[int]] = {}
+    for ri, run in enumerate(runs):
+        by_part.setdefault(owner[run[0]], []).append(ri)
+    for pid, ris in sorted(by_part.items()):
+        if p.kinds[pid] == CLIQUE or pid in raw_parts:
+            continue
+        open_ris = [ri for ri in ris if len(runs[ri]) > 1]
+        fixed = {runs[ri][0] for ri in ris if len(runs[ri]) == 1}
+        remainder = frozenset(p.parts[pid] - fixed)
+        if not open_ris:
+            if hamiltonian and remainder:
+                raise FallbackRequired(pid)
+            continue
+        if len(remainder) > SIZE_GUARD:
+            raise FallbackRequired(pid)
+        pairs = tuple((runs[ri][0], runs[ri][-1]) for ri in open_ris)
+        link = find_spanning_linkage(g, LinkageRequest(remainder, pairs))
+        if link is None:
+            raise FallbackRequired(pid)
+        for ri, path in zip(open_ris, link.paths):
+            runs[ri] = list(path)
+
+    cert = Certificate(kind, tuple(v for run in runs for v in run))
+    if not cert.validate(g, hamiltonian):
+        # a lifted certificate that fails validation signals a part whose
+        # linkage-free handling was unsound; fall back on the first culprit
+        raise FallbackRequired(min(by_part))
+    return cert
+
+
+def _fallback_loop(
+    attempt: Callable[[frozenset[int]], Optional[Certificate]],
+) -> Optional[Certificate]:
+    """Call attempt(raw) until it returns; every FallbackRequired adds the
+    blamed part to the raw parts, which the next attempt keeps whole."""
+    raw: frozenset[int] = frozenset()
+    while True:
+        try:
+            return attempt(raw)
+        except FallbackRequired as fb:
+            if fb.part_id in raw:
+                raise RuntimeError("fallback loop did not converge") from fb
+            raw = raw | {fb.part_id}
+
+
 def reconstruct(
     g: Graph,
     p: Partition,
     comp: CompressedGraph,
     cert_h: Certificate,
-    cfg: SolverConfig,
 ) -> Certificate:
-    """Lift a certificate of H to one of G, or raise FallbackRequired."""
+    """Lift a certificate of H to one of G, or raise FallbackRequired.
+
+    H ids map back to G ids, and every clique part gets its dropped vertices
+    back next to its special vertex, between two vertices of the part; the
+    shared lift does the rest.
+    """
     owner = p.part_of()
     seq = [comp.origin[v] for v in cert_h.vertices]
     cyclic = cert_h.kind == "cycle"
-    parts_seen = {owner[v] for v in seq}
-    if cyclic and len(parts_seen) == 1:
-        pid = owner[seq[0]]
-        if p.kinds[pid] != CLIQUE or comp.raw_parts and pid in comp.raw_parts:
-            if pid not in comp.raw_parts and p.kinds[pid] != CLIQUE:
-                raise FallbackRequired(pid)
-    runs = _runs(seq, owner, cyclic)
+    present = set(seq)
 
-    # for each part: insert missing vertices (clique) or replace subpaths
-    # with an exact spanning linkage (linked)
-    by_part: dict[int, list[int]] = {}
-    for ri, run in enumerate(runs):
-        by_part.setdefault(owner[run[0]], []).append(ri)
+    def in_part(i: int, pid: int) -> bool:
+        if cyclic:
+            i %= len(seq)
+        return 0 <= i < len(seq) and owner[seq[i]] == pid
 
-    new_runs: list[list[int]] = [list(r) for r in runs]
-    for pid, ris in sorted(by_part.items()):
-        part = p.parts[pid]
-        kind = p.kinds[pid]
-        present = [v for ri in ris for v in runs[ri]]
-        missing = sorted(part - set(present))
-        if pid in comp.raw_parts:
-            if missing:
-                raise FallbackRequired(pid)
+    for pid, part in enumerate(p.parts):
+        missing = sorted(part - present)
+        if p.kinds[pid] != CLIQUE or pid in comp.raw_parts or not missing:
             continue
-        if kind == CLIQUE:
-            if not missing:
-                continue
-            # insert after the special vertex, inside its run
-            sp = comp.special[pid]
-            target = None
-            for ri in ris:
-                if sp in runs[ri] and len(runs[ri]) >= 1:
-                    target = ri
-                    break
-            if target is None:
-                raise FallbackRequired(pid)
-            run = new_runs[target]
-            at = run.index(sp)
-            if len(run) >= 2:
-                # splice next to the special vertex between two part vertices
-                if at + 1 < len(run):
-                    new_runs[target] = run[: at + 1] + missing + run[at + 1 :]
-                else:
-                    new_runs[target] = run[:at] + missing + run[at:]
-            else:
-                # a lone special vertex has cross neighbors on both sides in
-                # the witness; missing vertices cannot attach
-                raise FallbackRequired(pid)
-        else:  # LINKED
-            fixed = [ri for ri in ris if len(runs[ri]) == 1]
-            open_ris = [ri for ri in ris if len(runs[ri]) > 1]
-            fixed_vs = {runs[ri][0] for ri in fixed}
-            remainder = frozenset(part - fixed_vs)
-            if not open_ris:
-                if missing:
-                    raise FallbackRequired(pid)
-                continue
-            if len(remainder) > cfg.linkage_guard:
-                raise FallbackRequired(pid)
-            pairs = tuple((runs[ri][0], runs[ri][-1]) for ri in open_ris)
-            req = LinkageRequest(remainder, pairs)
-            link = find_spanning_linkage(g, req)
-            if link is None:
-                raise FallbackRequired(pid)
-            for ri, path in zip(open_ris, link.paths):
-                new_runs[ri] = list(path)
-
-    out = [v for run in new_runs for v in run]
-    cert = Certificate(cert_h.kind, tuple(out))
-    if not cert.validate(g, hamiltonian=True):
-        # a spliced certificate that fails validation signals a part whose
-        # linkage-free handling was unsound; fall back on the first culprit
-        raise FallbackRequired(min(by_part))
-    return cert
+        at = seq.index(comp.special[pid])
+        if in_part(at + 1, pid):
+            seq[at + 1 : at + 1] = missing
+        elif in_part(at - 1, pid):
+            seq[at:at] = missing
+        else:
+            # a lone special vertex has cross neighbors on both sides in
+            # the witness; missing vertices cannot attach
+            raise FallbackRequired(pid)
+    return _lift(g, p, seq, cert_h.kind, comp.raw_parts, hamiltonian=True)
 
 
 def _solve(g: Graph, cfg: SolverConfig, kind: str,
@@ -446,33 +448,18 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
     if len(p.parts) == 1:
         if p.kinds[0] == CLIQUE:
             # a complete graph is trivially traversable in id order
-            cert = Certificate(kind, tuple(range(g.n)))
-            assert cert.validate(g, hamiltonian=True)
-            return cert
-        cert = run_exact(g)
-        assert cert is None or cert.validate(g, hamiltonian=True)
-        return cert
+            return checked(g, kind, range(g.n), hamiltonian=True)
+        return run_exact(g)
 
     gx = red_closure(g, p)
-    raw: frozenset[int] = frozenset()
-    for _ in range(len(p.parts) + 1):
-        blue = select_blue_edges(gx, p, blue_strategy)
+    blue = select_blue_edges(gx, p, blue_strategy)
+
+    def attempt(raw: frozenset[int]) -> Optional[Certificate]:
         comp = compress(gx, p, blue, raw)
         cert_h = run_exact(comp.h)
-        if cert_h is None:
-            return None
-        try:
-            cert = reconstruct(g, p, comp, cert_h, cfg)
-        except FallbackRequired as fb:
-            if fb.part_id in comp.raw_parts:
-                raise RuntimeError(
-                    "fallback loop did not converge"
-                )  # pragma: no cover
-            raw = raw | {fb.part_id}
-            continue
-        assert cert.validate(g, hamiltonian=True)
-        return cert
-    raise RuntimeError("fallback loop exceeded part count")  # pragma: no cover
+        return None if cert_h is None else reconstruct(g, p, comp, cert_h)
+
+    return _fallback_loop(attempt)
 
 
 def solve_hamiltonian_cycle(

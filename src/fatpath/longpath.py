@@ -7,6 +7,12 @@ k-vertex path in the input.  When that contraction is too wide for direct
 dynamic programming, randomized ball-carving covers select low-treewidth
 induced subgraphs across repetitions; YES answers are certified, NO answers
 are one-sided.
+
+A path of the contraction is lifted back by _expand, which puts each
+contracted vertex's unmarked set in its place, and then by the lift shared
+with the Hamiltonian solvers (hamilton._lift): linked parts get exact
+spanning linkages, and a part that cannot be lifted is kept raw in the next
+round of the shared fallback loop.
 """
 
 from __future__ import annotations
@@ -17,17 +23,24 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import Certificate
+from .certificates import Certificate, checked
 from .dp import solve_dp
 from .graphs import Graph, bfs_ball
-from .hamilton import AugmentedGraph, red_closure, _edges_to_sequence
-from .linkage import LinkageRequest, find_spanning_linkage
+from .hamilton import (
+    AugmentedGraph,
+    _edges_to_sequence,
+    _fallback_loop,
+    _lift,
+    red_closure,
+)
+# not called here (the shared lift calls it in hamilton); kept for perfbench/spans.py
+from .linkage import find_spanning_linkage  # noqa: F401
 from .partition import (
-    CLIQUE,
     Partition,
     SolverConfig,
-    build_quotient,
+    cross_edges,
     kappa_partition,
+    quotient_degree,
     refine_to_linked,
 )
 from .treewidth import TreeDecomposition, heuristic_decomposition
@@ -62,17 +75,8 @@ def mark(gx: AugmentedGraph, p: Partition, strategy: str = "full") -> Marking:
         raise ValueError(f"unknown mark strategy {strategy!r}")
     if strategy == "full":
         return Marking(tuple(frozenset(part) for part in p.parts), strategy)
-    owner = p.part_of()
-    quotient = build_quotient(gx.base, p.parts)
-    delta = max(quotient.graph.max_degree(), 1)
-    per_pair = 2 * delta + 2
-    cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in gx.base.edges():
-        a, b = owner[u], owner[v]
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        cross.setdefault(key, []).append((u, v) if a < b else (v, u))
+    cross = cross_edges(gx.base, p.part_of())
+    per_pair = 2 * max(quotient_degree(cross), 1) + 2
     marked: list[set[int]] = [set() for _ in p.parts]
     for (a, b), pairs in sorted(cross.items()):
         for u, v in sorted(pairs)[:per_pair]:
@@ -124,16 +128,11 @@ def build_weighted(
             weights.append(1)
         if us:
             contracted[i] = len(origin)
+            to_h.update((v, len(origin)) for v in us)
             origin.append(None)
             part_of_h.append(i)
             weights.append(len(us))
     nh = len(origin)
-
-    # cross adjacency between parts is inherited from g; contracted vertices
-    # stand for their whole unmarked set
-    def g_side(hv: int) -> tuple[int, ...]:
-        ov = origin[hv]
-        return (ov,) if ov is not None else u_sets[part_of_h[hv]]
 
     h_edges: set[tuple[int, int]] = set()
     members: dict[int, list[int]] = {}
@@ -147,26 +146,25 @@ def build_weighted(
                         h_edges.add((u, v))
         else:
             h_edges.update((u, v) for a, u in enumerate(vs) for v in vs[a + 1 :])
-    cross_edges: set[tuple[int, int]] = set()
-    for hu in range(nh):
-        su = g_side(hu)
-        for hv in range(hu + 1, nh):
-            if part_of_h[hv] == part_of_h[hu]:
-                continue
-            if any(g.has_edge(a, b) for a in su for b in g_side(hv)):
-                cross_edges.add((hu, hv))
-    h = Graph(nh, sorted(h_edges | cross_edges))
+    # cross adjacency between parts is inherited from g; a contracted vertex
+    # stands for its whole unmarked set
+    h_cross_edges: set[tuple[int, int]] = set()
+    for a, b in g.edges():
+        hu, hv = sorted((to_h[a], to_h[b]))
+        if part_of_h[hu] != part_of_h[hv]:
+            h_cross_edges.add((hu, hv))
+    h = Graph(nh, sorted(h_edges | h_cross_edges))
     vset = set(contracted.values())
-    prime_cross = {e for e in cross_edges if e[0] not in vset and e[1] not in vset}
+    prime_cross = {e for e in h_cross_edges if e[0] not in vset and e[1] not in vset}
     h_prime = Graph(nh, sorted(h_edges | prime_cross))
     # true-twin completion: a single cross edge between two non-raw parts
     # makes their kept sets fully adjacent
     linked_pairs = {
         (part_of_h[u], part_of_h[v])
-        for u, v in cross_edges
+        for u, v in h_cross_edges
         if part_of_h[u] not in raw_parts and part_of_h[v] not in raw_parts
     }
-    full_cross = set(cross_edges)
+    full_cross = set(h_cross_edges)
     for i, j in linked_pairs:
         full_cross.update(
             (min(u, v), max(u, v)) for u in members[i] for v in members[j]
@@ -304,7 +302,7 @@ def _dfs_longpath(h: Graph, weights: list[int], k: int) -> Optional[Certificate]
         while stack:
             v, used, w, seq = stack.pop()
             if w >= k:
-                return Certificate("path", seq)
+                return checked(h, "path", seq, weights=weights, target=k)
             # weight bound: only unvisited vertices reachable from the active
             # end through unvisited vertices can still contribute
             free = ~used & full
@@ -345,26 +343,12 @@ def weighted_longpath_dp(
     if weights[best_single] >= k:
         return Certificate("path", (best_single,))
     if td.width > 5 and h.n <= 24:
-        cert = _dfs_longpath(h, weights, k)
-        if cert is not None:
-            assert cert.validate(h)
-            assert sum(weights[v] for v in cert.vertices) >= k
-        return cert
+        return _dfs_longpath(h, weights, k)
     edges = solve_dp(h, td, "longpath", weights=list(weights), target=k)
     if edges is None:
         return None
     seq = _edges_to_sequence(h.n, edges, "path")
-    assert seq is not None
-    cert = Certificate("path", tuple(seq))
-    assert cert.validate(h)
-    assert sum(weights[v] for v in seq) >= k
-    return cert
-
-
-class _Fallback(Exception):
-    def __init__(self, part_id: int):
-        super().__init__(str(part_id))
-        self.part_id = part_id
+    return checked(h, "path", seq, weights=weights, target=k)
 
 
 def _expand(
@@ -373,56 +357,15 @@ def _expand(
     wc: WeightedCompressed,
     cert_h: Certificate,
     raw_parts: frozenset[int],
-    cfg: SolverConfig,
 ) -> Certificate:
     """Lift an H'-path to G: contracted vertices expand to their unmarked
-    sets in ascending id, then every multi-vertex stay inside a non-clique
-    part is replaced by an exact spanning linkage of that part."""
+    sets in ascending id; the shared lift then links every multi-vertex
+    stay inside a linked part, or raises FallbackRequired."""
     seq: list[int] = []
-    owner: list[int] = []
     for hv in cert_h.vertices:
-        pid = wc.part_of_h[hv]
-        if wc.origin[hv] is not None:
-            seq.append(wc.origin[hv])
-            owner.append(pid)
-        else:
-            seq.extend(wc.u_sets[pid])
-            owner.extend([pid] * len(wc.u_sets[pid]))
-
-    runs: list[list[int]] = [[seq[0]]]
-    run_part: list[int] = [owner[0]]
-    for v, pid in zip(seq[1:], owner[1:]):
-        if pid == run_part[-1]:
-            runs[-1].append(v)
-        else:
-            runs.append([v])
-            run_part.append(pid)
-
-    by_part: dict[int, list[int]] = {}
-    for ri, pid in enumerate(run_part):
-        by_part.setdefault(pid, []).append(ri)
-    for pid, ris in sorted(by_part.items()):
-        if p.kinds[pid] == CLIQUE or pid in raw_parts:
-            continue  # run edges are real input edges
-        open_ris = [ri for ri in ris if len(runs[ri]) > 1]
-        if not open_ris:
-            continue
-        fixed = {runs[ri][0] for ri in ris if len(runs[ri]) == 1}
-        remainder = frozenset(p.parts[pid] - fixed)
-        if len(remainder) > cfg.linkage_guard:
-            raise _Fallback(pid)
-        pairs = tuple((runs[ri][0], runs[ri][-1]) for ri in open_ris)
-        link = find_spanning_linkage(g, LinkageRequest(remainder, pairs))
-        if link is None:
-            raise _Fallback(pid)
-        for ri, path in zip(open_ris, link.paths):
-            runs[ri] = list(path)
-
-    out = [v for run in runs for v in run]
-    cert = Certificate("path", tuple(out))
-    if not cert.validate(g):
-        raise _Fallback(min(by_part))
-    return cert
+        ov = wc.origin[hv]
+        seq.extend((ov,) if ov is not None else wc.u_sets[wc.part_of_h[hv]])
+    return _lift(g, p, seq, "path", raw_parts, hamiltonian=False)
 
 
 def _direct_small(g: Graph, k: int) -> Optional[Certificate]:
@@ -465,55 +408,47 @@ def solve_long_path(
     if exponent < 60:
         schedule = min(cfg.repetition_budget, math.ceil(2.0**exponent))
 
-    raw: frozenset[int] = frozenset()
-    while True:
-        marking = mark(gx, p, mark_strategy)
+    marking = mark(gx, p, mark_strategy)
+
+    def attempt(raw: frozenset[int]) -> Optional[Certificate]:
         wc = build_weighted(gx, p, marking, raw)
+        # when the pruned contraction is narrow enough, decide exactly
+        td_full = heuristic_decomposition(wc.h_prime)
+        if td_full.width <= cfg.dp_width_cap or wc.h_prime.n <= 24:
+            cert_h = weighted_longpath_dp(wc.h_prime, list(wc.weights), td_full, k)
+            if cert_h is None:
+                return None
+            return _expand(g, p, wc, cert_h, raw)
 
-        try:
-            # when the pruned contraction is narrow enough, decide exactly
-            td_full = heuristic_decomposition(wc.h_prime)
-            if td_full.width <= cfg.dp_width_cap or wc.h_prime.n <= 24:
-                cert_h = weighted_longpath_dp(wc.h_prime, list(wc.weights), td_full, k)
-                if cert_h is None:
-                    return None
-                return _expand(g, p, wc, cert_h, raw, cfg)
-
-            for rep in range(schedule):
-                rng = np.random.default_rng(seed + rep)
-                s_outer = int(rng.integers(1 << 31))
-                a_outer = outer_cover(
-                    wc.h_cross, k, s_outer, cfg.outer_radius_const
-                )
-                if not a_outer:
+        for rep in range(schedule):
+            rng = np.random.default_rng(seed + rep)
+            s_outer = int(rng.integers(1 << 31))
+            a_outer = outer_cover(wc.h_cross, k, s_outer, cfg.outer_radius_const)
+            if not a_outer:
+                continue
+            sub, ids = wc.h_cross.induced(a_outer)
+            for comp in sub.components():
+                comp_ids = [ids[x] for x in comp]
+                cg, cl = wc.h_cross.induced(comp_ids)
+                td = heuristic_decomposition(cg)
+                if td.width <= cfg.dp_width_cap or cg.n <= 24:
+                    chosen = set(cl)
+                else:
+                    s_pat = int(rng.integers(1 << 31))
+                    sample = pattern_cover(cg, k, s_pat, cfg.d, cfg.c_r)
+                    if sample.aborted or not sample.vertices:
+                        continue
+                    chosen = {cl[x] for x in sample.vertices}
+                dg, dl = wc.h_prime.induced(chosen)
+                dtd = heuristic_decomposition(dg)
+                if dtd.width > cfg.dp_width_cap and dg.n > 24:
                     continue
-                sub, ids = wc.h_cross.induced(a_outer)
-                for comp in sub.components():
-                    comp_ids = [ids[x] for x in comp]
-                    cg, cl = wc.h_cross.induced(comp_ids)
-                    td = heuristic_decomposition(cg)
-                    if td.width <= cfg.dp_width_cap or cg.n <= 24:
-                        chosen = set(cl)
-                    else:
-                        s_pat = int(rng.integers(1 << 31))
-                        sample = pattern_cover(cg, k, s_pat, cfg.d, cfg.c_r)
-                        if sample.aborted or not sample.vertices:
-                            continue
-                        chosen = {cl[x] for x in sample.vertices}
-                    dg, dl = wc.h_prime.induced(chosen)
-                    dtd = heuristic_decomposition(dg)
-                    if dtd.width > cfg.dp_width_cap and dg.n > 24:
-                        continue
-                    w_sub = [wc.weights[v] for v in dl]
-                    cert_sub = weighted_longpath_dp(dg, w_sub, dtd, k)
-                    if cert_sub is None:
-                        continue
-                    cert_h = Certificate(
-                        "path", tuple(dl[v] for v in cert_sub.vertices)
-                    )
-                    return _expand(g, p, wc, cert_h, raw, cfg)
-            return None
-        except _Fallback as fb:
-            if fb.part_id in raw:
-                raise RuntimeError("fallback loop did not converge")
-            raw = raw | {fb.part_id}
+                w_sub = [wc.weights[v] for v in dl]
+                cert_sub = weighted_longpath_dp(dg, w_sub, dtd, k)
+                if cert_sub is None:
+                    continue
+                cert_h = Certificate("path", tuple(dl[v] for v in cert_sub.vertices))
+                return _expand(g, p, wc, cert_h, raw)
+        return None
+
+    return _fallback_loop(attempt)

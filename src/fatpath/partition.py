@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,6 +31,8 @@ __all__ = [
     "refine_to_linked",
     "clique_partition_exact",
     "build_quotient",
+    "cross_edges",
+    "quotient_degree",
     "partition_to_json",
     "partition_from_json",
 ]
@@ -86,17 +89,33 @@ class QuotientGraph:
     part_sizes: tuple[int, ...]
 
 
-def build_quotient(g: Graph, parts: tuple[frozenset[int], ...]) -> QuotientGraph:
-    owner: dict[int, int] = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            owner[v] = i
-    edges = set()
+def cross_edges(
+    g: Graph, owner: dict[int, int]
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """The edges of g between parts, grouped by part pair (a, b) with a < b;
+    each edge is oriented (vertex in a, vertex in b).  The keys are the
+    quotient's edges."""
+    cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for u, v in g.edges():
         a, b = owner[u], owner[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return QuotientGraph(Graph(len(parts), sorted(edges)), tuple(len(p) for p in parts))
+        if a < b:
+            cross.setdefault((a, b), []).append((u, v))
+        elif b < a:
+            cross.setdefault((b, a), []).append((v, u))
+    return cross
+
+
+def quotient_degree(cross: dict[tuple[int, int], list[tuple[int, int]]]) -> int:
+    """D, the quotient's maximum degree, read from the keys of cross_edges."""
+    return max(Counter(i for pair in cross for i in pair).values(), default=0)
+
+
+def build_quotient(g: Graph, parts: tuple[frozenset[int], ...]) -> QuotientGraph:
+    owner = {v: i for i, part in enumerate(parts) for v in part}
+    return QuotientGraph(
+        Graph(len(parts), sorted(cross_edges(g, owner))),
+        tuple(len(p) for p in parts),
+    )
 
 
 @dataclass(frozen=True)
@@ -116,12 +135,9 @@ class SolverConfig:
     theory_mode: bool = False
     c_r: float = 4.0
     c_rep: float = 1.0
-    c_tw: float = 0.35
     outer_radius_const: float = 4.0
     repetition_budget: int = 10_000
     d: int = 2
-    seed: int = 0
-    linkage_guard: int = 24
     dp_width_cap: int = 10
 
     def __post_init__(self):

@@ -158,6 +158,7 @@ def test_width_scaling(capsys):
 
 def test_pattern_cover_compliance(capsys):
     cfg = SolverConfig()
+    c_tw = 0.35  # width bound constant: width <= c_tw * sqrt(k) * log2(k)
     draws = 0
     aborted = 0
     violations = 0
@@ -177,14 +178,14 @@ def test_pattern_cover_compliance(capsys):
         if any(r > big_r for _, r in sample.clusters):
             violations += 1
         sub, _ = g.induced(sample.vertices)
-        bound = cfg.c_tw * math.sqrt(k) * math.log2(k)
+        bound = c_tw * math.sqrt(k) * math.log2(k)
         if sub.n and heuristic_decomposition(sub).width > bound:
             violations += 1
     ok = violations == 0
     report(capsys, f"[5/8] pattern-cover compliance: "
                    f"{'PASS' if ok else 'FAIL'} ({draws} draws, "
                    f"{aborted} aborted, {violations} violations, "
-                   f"c_tw={cfg.c_tw})")
+                   f"c_tw={c_tw})")
     assert ok
 
 

@@ -60,6 +60,22 @@ def test_ham_malformed_input(tmp_path):
     assert run(["ham", str(p)])[0] == 2
 
 
+def test_malformed_instance_json_exits_2(tmp_path):
+    docs = {
+        "missing_key": '{"dimension":2}',
+        "null_objects": '{"dimension":2,"beta":2.0,"objects":null}',
+        "object_not_a_record": '{"dimension":2,"beta":2.0,"objects":[1]}',
+        "object_missing_radius":
+            '{"dimension":2,"beta":2.0,"objects":[{"type":"ball","center":[0,0]}]}',
+    }
+    for name, text in docs.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
+        assert run(["ham", str(p)])[0] == 2, name
+        assert run(["longpath", str(p), "--k", "4"])[0] == 2, name
+        assert run(["graph", str(p)])[0] == 2, name
+
+
 def test_ham_missing_file():
     assert run(["ham", "/nonexistent/g.txt"])[0] == 2
 

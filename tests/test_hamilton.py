@@ -162,7 +162,7 @@ def test_reconstruct_identity_when_uncompressed():
     blue = select_blue_edges(gx, p, "all")
     comp = compress(gx, p, blue)
     cert_h = hamiltonian_cycle_dp(comp.h, heuristic_decomposition(comp.h))
-    cert = reconstruct(g, p, comp, cert_h, SolverConfig())
+    cert = reconstruct(g, p, comp, cert_h)
     assert cert.validate(g, hamiltonian=True)
 
 
