@@ -1,6 +1,8 @@
 """Command-line front end: instance generation, solving, covers, benchmarks.
 
-Exit codes: 0 success (and "yes" verdicts), 1 "no" verdict, 2 input error.
+Exit codes: 0 success (and "yes" verdicts), 1 "no" verdict, 2 input error,
+3 internal error (a solver step produced a certificate that does not
+validate, or its fallback loop did not converge; never a verdict).
 """
 
 from __future__ import annotations
@@ -243,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("partition", help="compute the refined partition")
     sp.add_argument("input")
     _add_solver_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output", default="-")
     sp.set_defaults(func=cmd_partition)
 
@@ -252,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--path", action="store_true")
     sp.add_argument("--blue-strategy", choices=["all", "bounded"], default="all")
     _add_solver_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_ham)
 
     sp = sub.add_parser("longpath", help="path on >= k vertices")
@@ -304,6 +304,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # CertificateError included
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,6 +15,12 @@ cycle/path has closed.  Each state keeps one representative edge list for
 certificate reconstruction; in longpath mode the representative with the
 largest total weight wins.
 
+Tables move between bags by one transform (forget what leaves, introduce
+what arrives); a leaf is the transform of the empty state onto its bag.  A
+join pairs child states of equal inclusion pattern, at most one of them
+done and with at most two final ends between them, and _merge_states
+combines their segment systems.
+
 Deterministic: bags, vertices and transitions are always scanned in sorted
 order and ties keep the first representative.
 """
@@ -119,7 +125,7 @@ def solve_dp(
         if not kids:
             table = _Table()
             table.add(((), (), 0, False), 0, [])
-            table = _introduce_all(table, (), bag, w, optional)
+            table = _transform(table, (), bag, w, optional, mode)
         else:
             parts = []
             for c in kids:
@@ -147,15 +153,6 @@ def solve_dp(
             best_w = weight
             best = edges
     return best
-
-
-def _introduce_all(table: _Table, have: tuple, bag: tuple, w, optional) -> _Table:
-    cur = table
-    cur_bag = list(have)
-    for v in sorted(set(bag) - set(have)):
-        cur = _introduce(cur, tuple(cur_bag), v, w, optional)
-        cur_bag = sorted(cur_bag + [v])
-    return cur
 
 
 def _transform(table: _Table, from_bag: tuple, to_bag: tuple, w, optional, mode) -> _Table:
@@ -324,11 +321,9 @@ def _join(t1: _Table, t2: _Table, bag: tuple, w, mode: str) -> _Table:
 
 
 def _merge_states(st1, mt1, m1, d1, st2, mt2, m2, d2, mode):
+    """Combine two child states on one bag, or None if they conflict; the
+    caller has already dropped pairs that are both done or have m1 + m2 > 2."""
     k = len(st1)
-    if d1 and d2:
-        return None
-    if m1 + m2 > 2:
-        return None
     st = []
     for s1, s2 in zip(st1, st2):
         if (s1 == EXCLUDED) != (s2 == EXCLUDED):

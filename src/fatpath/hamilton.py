@@ -1,10 +1,17 @@
 """Hamiltonian cycle and path through partition compression.
 
-Pipeline: make every part a clique (red edges), pick bounded cross-edge
-sets (blue edges), shrink each part to its blue-incident vertices plus one
-special vertex, solve the compressed graph by treewidth DP, then lift the
-witness back.  reconstruct maps H ids to input ids and lets clique parts
-absorb their missing vertices next to the special vertex.
+Pipeline: pick bounded cross-edge sets (blue edges), then build the
+compressed graph H from G directly: each part shrinks to its blue-incident
+vertices plus one special vertex and becomes a clique in H (the red edges
+of red_closure, added inline), raw parts stay whole with their own edges.
+H is solved by treewidth DP, or by the exhaustive search _dfs_ham when it
+is small and its decomposition wide, and the witness is lifted back.
+reconstruct maps H ids to input ids and lets clique parts absorb their
+missing vertices next to the special vertex.
+
+_dfs_ham is the only exhaustive search in the package: with unit weights
+it finds Hamiltonian cycles and paths, with vertex weights and a target k
+the long path solver's weighted paths.
 
 This module also holds the lift that the long path solver shares: _lift
 splits the witness into same-part runs, replaces the runs inside linked
@@ -19,7 +26,7 @@ instead of asserting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .certificates import Certificate, checked
 from .dp import solve_dp
@@ -38,7 +45,6 @@ from .partition import (
 from .treewidth import TreeDecomposition, heuristic_decomposition
 
 __all__ = [
-    "AugmentedGraph",
     "BlueSelection",
     "CompressedGraph",
     "FallbackRequired",
@@ -53,16 +59,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AugmentedGraph:
-    """base plus the red fill edges that turn every part into a clique."""
-
-    base: Graph
-    red_edges: frozenset[tuple[int, int]]
-    graph: Graph  # base union red
-
-
-def red_closure(g: Graph, p: Partition) -> AugmentedGraph:
+def red_closure(g: Graph, p: Partition) -> frozenset[tuple[int, int]]:
+    """The red edges: the non-edges of g inside a part, which make every
+    part a clique.  compress and build_weighted add them inline, as the
+    clique on each non-raw part's kept vertices."""
     red = set()
     for part in p.parts:
         vs = sorted(part)
@@ -70,8 +70,7 @@ def red_closure(g: Graph, p: Partition) -> AugmentedGraph:
             for v in vs[i + 1 :]:
                 if not g.has_edge(u, v):
                     red.add((u, v))
-    edges = list(g.edges()) + sorted(red)
-    return AugmentedGraph(g, frozenset(red), Graph(g.n, edges))
+    return frozenset(red)
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,14 @@ class BlueSelection:
 
 
 def select_blue_edges(
-    gx: AugmentedGraph, p: Partition, strategy: str = "all"
+    g: Graph, p: Partition, strategy: str = "all"
 ) -> BlueSelection:
     """strategy "all": every cross edge (certified default).  "bounded": a
     deterministic subset of size <= 4(2D-1)^2 per part pair, D the quotient
     degree; its adequacy is enforced by oracle-equivalence tests."""
     if strategy not in ("all", "bounded"):
         raise ValueError(f"unknown blue strategy {strategy!r}")
-    cross = cross_edges(gx.base, p.part_of())
+    cross = cross_edges(g, p.part_of())
     delta = max(quotient_degree(cross), 1)
     cap = 4 * (2 * delta - 1) ** 2
     per_endpoint = 2 * delta
@@ -135,7 +134,7 @@ class CompressedGraph:
 
 
 def compress(
-    gx: AugmentedGraph,
+    g: Graph,
     p: Partition,
     blue: BlueSelection,
     raw_parts: frozenset[int] = frozenset(),
@@ -174,7 +173,7 @@ def compress(
                 (to_h[u], to_h[v])
                 for a, u in enumerate(vs)
                 for v in vs[a + 1 :]
-                if gx.base.has_edge(u, v)
+                if g.has_edge(u, v)
             )
         else:
             edges.extend(
@@ -227,42 +226,60 @@ def _edges_to_sequence(
     return seq
 
 
-def _dfs_ham(h: Graph, kind: str) -> Optional[Certificate]:
-    """Pruned exhaustive search; the escape hatch for small graphs whose
+def _dfs_ham(
+    h: Graph,
+    kind: str = "path",
+    weights: Optional[Sequence[int]] = None,
+    k: Optional[int] = None,
+) -> Optional[Certificate]:
+    """Pruned exhaustive search for a cycle through vertex 0, or a path, of
+    total vertex weight >= k; weights default to 1 and k to h.n, which asks
+    for a Hamiltonian cycle or path.  The escape hatch for small graphs whose
     decompositions are too wide for the bag DP to pay off."""
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
+    w = [1] * n if weights is None else weights
+    target = n if k is None else k
     masks = h.adjacency_masks()
     full = (1 << n) - 1
-    starts = [0] if kind == "cycle" else range(n)
+    starts = [0] if kind == "cycle" else sorted(range(n), key=lambda v: -w[v])
     for s in starts:
-        stack: list[tuple[int, int, tuple[int, ...]]] = [(s, 1 << s, (s,))]
+        stack: list[tuple[int, int, int, tuple[int, ...]]] = [(s, 1 << s, w[s], (s,))]
         while stack:
-            v, used, seq = stack.pop()
-            if used == full:
+            v, used, got, seq = stack.pop()
+            if got >= target:
                 if kind == "path" or masks[v] >> s & 1:
-                    return checked(h, kind, seq, hamiltonian=True)
+                    # with unit weights and k = n this is a Hamiltonian check
+                    return checked(h, kind, seq, weights=w, target=target)
                 continue
+            # weight bound: only unvisited vertices reachable from the active
+            # end through unvisited vertices can still contribute
             free = ~used & full
-            # dead vertex prune: an unvisited vertex with no free neighbor
-            # and no edge to the active end can never be reached
-            ok = True
-            rest = free
+            frontier = masks[v] & free
+            reach = 0
+            while frontier:
+                reach |= frontier
+                grow = 0
+                rest = frontier
+                while rest:
+                    u = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    grow |= masks[u]
+                frontier = grow & free & ~reach
+            bound = got
+            rest = reach
             while rest:
                 u = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                reach = masks[u] & (free | (1 << v))
-                if not reach:
-                    ok = False
-                    break
-            if not ok:
+                bound += w[u]
+            if bound < target:
                 continue
             cand = masks[v] & free
             while cand:
                 u = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
-                stack.append((u, used | (1 << u), seq + (u,)))
+                stack.append((u, used | (1 << u), got + w[u], seq + (u,)))
     return None
 
 
@@ -451,11 +468,10 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
             return checked(g, kind, range(g.n), hamiltonian=True)
         return run_exact(g)
 
-    gx = red_closure(g, p)
-    blue = select_blue_edges(gx, p, blue_strategy)
+    blue = select_blue_edges(g, p, blue_strategy)
 
     def attempt(raw: frozenset[int]) -> Optional[Certificate]:
-        comp = compress(gx, p, blue, raw)
+        comp = compress(g, p, blue, raw)
         cert_h = run_exact(comp.h)
         return None if cert_h is None else reconstruct(g, p, comp, cert_h)
 

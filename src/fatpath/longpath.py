@@ -1,12 +1,16 @@
 """Long Path via weighted contraction and randomized low-treewidth covers.
 
 Each part is shrunk to its marked vertices plus one contracted vertex
-carrying the unmarked count as weight.  A path of total weight >= k in the
-pruned contraction (cross edges at contracted vertices removed) matches a
-k-vertex path in the input.  When that contraction is too wide for direct
-dynamic programming, randomized ball-carving covers select low-treewidth
-induced subgraphs across repetitions; YES answers are certified, NO answers
-are one-sided.
+carrying the unmarked count as weight; build_weighted builds the result
+from the input graph directly.  A path of total weight >= k in the pruned
+contraction (cross edges at contracted vertices removed) matches a
+k-vertex path in the input.  When its decomposition is at most DP_WIDTH_CAP
+wide, or it has at most 24 vertices, it is decided exactly: by the bag DP,
+or, for small wide graphs, by the exhaustive search shared with the
+Hamiltonian solvers (hamilton._dfs_ham, called here as _dfs_longpath).
+Otherwise randomized ball-carving covers select low-treewidth induced
+subgraphs across repetitions; YES answers are certified, NO answers are
+one-sided.
 
 A path of the contraction is lifted back by _expand, which puts each
 contracted vertex's unmarked set in its place, and then by the lift shared
@@ -26,14 +30,10 @@ import numpy as np
 from .certificates import Certificate, checked
 from .dp import solve_dp
 from .graphs import Graph, bfs_ball
-from .hamilton import (
-    AugmentedGraph,
-    _edges_to_sequence,
-    _fallback_loop,
-    _lift,
-    red_closure,
-)
-# not called here (the shared lift calls it in hamilton); kept for perfbench/spans.py
+from .hamilton import _dfs_ham as _dfs_longpath
+from .hamilton import _edges_to_sequence, _fallback_loop, _lift
+# not called here; kept importable for perfbench/spans.py, which wraps them
+from .hamilton import red_closure  # noqa: F401
 from .linkage import find_spanning_linkage  # noqa: F401
 from .partition import (
     Partition,
@@ -57,6 +57,10 @@ __all__ = [
     "solve_long_path",
 ]
 
+# graphs over 24 vertices are decided exactly up to this width; wider ones go
+# to the cover route, and wider cover pieces are skipped
+DP_WIDTH_CAP = 10
+
 
 @dataclass(frozen=True)
 class Marking:
@@ -66,7 +70,7 @@ class Marking:
     strategy: str
 
 
-def mark(gx: AugmentedGraph, p: Partition, strategy: str = "full") -> Marking:
+def mark(g: Graph, p: Partition, strategy: str = "full") -> Marking:
     """"full" keeps every vertex (no compression).  "bounded" keeps, per
     quotient-neighbor pair, the endpoints of the 2D+2 lexicographically
     smallest cross edges (D the quotient degree) plus two extra vertices per
@@ -75,7 +79,7 @@ def mark(gx: AugmentedGraph, p: Partition, strategy: str = "full") -> Marking:
         raise ValueError(f"unknown mark strategy {strategy!r}")
     if strategy == "full":
         return Marking(tuple(frozenset(part) for part in p.parts), strategy)
-    cross = cross_edges(gx.base, p.part_of())
+    cross = cross_edges(g, p.part_of())
     per_pair = 2 * max(quotient_degree(cross), 1) + 2
     marked: list[set[int]] = [set() for _ in p.parts]
     for (a, b), pairs in sorted(cross.items()):
@@ -90,11 +94,12 @@ def mark(gx: AugmentedGraph, p: Partition, strategy: str = "full") -> Marking:
 
 @dataclass(frozen=True)
 class WeightedCompressed:
-    """The contraction H plus its pruned (h_prime) and completed (h_cross)
-    variants.  origin maps marked vertices to input ids (None for contracted
-    vertices); u_sets holds the unmarked vertices behind each contraction."""
+    """Two variants of the contraction H: pruned (h_prime, no cross edge at
+    a contracted vertex) and completed (h_cross, every two non-raw parts
+    joined by a cross edge fully adjacent).  origin maps marked vertices to
+    input ids (None for contracted vertices); u_sets holds the unmarked
+    vertices behind each contraction."""
 
-    h: Graph
     h_prime: Graph
     h_cross: Graph
     weights: tuple[int, ...]
@@ -105,12 +110,11 @@ class WeightedCompressed:
 
 
 def build_weighted(
-    gx: AugmentedGraph,
+    g: Graph,
     p: Partition,
     m: Marking,
     raw_parts: frozenset[int] = frozenset(),
 ) -> WeightedCompressed:
-    g = gx.base
     origin: list[Optional[int]] = []
     part_of_h: list[int] = []
     weights: list[int] = []
@@ -153,7 +157,6 @@ def build_weighted(
         hu, hv = sorted((to_h[a], to_h[b]))
         if part_of_h[hu] != part_of_h[hv]:
             h_cross_edges.add((hu, hv))
-    h = Graph(nh, sorted(h_edges | h_cross_edges))
     vset = set(contracted.values())
     prime_cross = {e for e in h_cross_edges if e[0] not in vset and e[1] not in vset}
     h_prime = Graph(nh, sorted(h_edges | prime_cross))
@@ -171,7 +174,6 @@ def build_weighted(
         )
     h_cross = Graph(nh, sorted(h_edges | full_cross))
     return WeightedCompressed(
-        h,
         h_prime,
         h_cross,
         tuple(weights),
@@ -288,51 +290,6 @@ def pattern_cover(
     )
 
 
-def _dfs_longpath(h: Graph, weights: list[int], k: int) -> Optional[Certificate]:
-    """Pruned exhaustive search for a path of weight >= k; the escape hatch
-    for small graphs whose decompositions are too wide for the bag DP."""
-    n = h.n
-    masks = h.adjacency_masks()
-    full = (1 << n) - 1
-    order = sorted(range(n), key=lambda v: -weights[v])
-    for s in order:
-        stack: list[tuple[int, int, int, tuple[int, ...]]] = [
-            (s, 1 << s, weights[s], (s,))
-        ]
-        while stack:
-            v, used, w, seq = stack.pop()
-            if w >= k:
-                return checked(h, "path", seq, weights=weights, target=k)
-            # weight bound: only unvisited vertices reachable from the active
-            # end through unvisited vertices can still contribute
-            free = ~used & full
-            frontier = masks[v] & free
-            reach = 0
-            while frontier:
-                reach |= frontier
-                grow = 0
-                rest = frontier
-                while rest:
-                    u = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    grow |= masks[u]
-                frontier = grow & free & ~reach
-            bound = w
-            rest = reach
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                bound += weights[u]
-            if bound < k:
-                continue
-            cand = masks[v] & free
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                stack.append((u, used | (1 << u), w + weights[u], seq + (u,)))
-    return None
-
-
 def weighted_longpath_dp(
     h: Graph, weights: list[int], td: TreeDecomposition, k: int
 ) -> Optional[Certificate]:
@@ -343,7 +300,7 @@ def weighted_longpath_dp(
     if weights[best_single] >= k:
         return Certificate("path", (best_single,))
     if td.width > 5 and h.n <= 24:
-        return _dfs_longpath(h, weights, k)
+        return _dfs_longpath(h, weights=weights, k=k)
     edges = solve_dp(h, td, "longpath", weights=list(weights), target=k)
     if edges is None:
         return None
@@ -369,8 +326,7 @@ def _expand(
 
 
 def _direct_small(g: Graph, k: int) -> Optional[Certificate]:
-    if k <= 0 or g.n < k:
-        return None if k > 0 else None
+    """k in 1..3 with k <= g.n, as solve_long_path calls it."""
     if k == 1:
         return Certificate("path", (0,))
     if k == 2:
@@ -401,20 +357,19 @@ def solve_long_path(
 
     p0, _ = kappa_partition(g)
     p, _q = refine_to_linked(g, p0, cfg)
-    gx = red_closure(g, p)
 
     exponent = cfg.c_rep * k ** (1.0 - 1.0 / cfg.d) * math.log2(k) ** 2
     schedule = cfg.repetition_budget
     if exponent < 60:
         schedule = min(cfg.repetition_budget, math.ceil(2.0**exponent))
 
-    marking = mark(gx, p, mark_strategy)
+    marking = mark(g, p, mark_strategy)
 
     def attempt(raw: frozenset[int]) -> Optional[Certificate]:
-        wc = build_weighted(gx, p, marking, raw)
+        wc = build_weighted(g, p, marking, raw)
         # when the pruned contraction is narrow enough, decide exactly
         td_full = heuristic_decomposition(wc.h_prime)
-        if td_full.width <= cfg.dp_width_cap or wc.h_prime.n <= 24:
+        if td_full.width <= DP_WIDTH_CAP or wc.h_prime.n <= 24:
             cert_h = weighted_longpath_dp(wc.h_prime, list(wc.weights), td_full, k)
             if cert_h is None:
                 return None
@@ -423,7 +378,7 @@ def solve_long_path(
         for rep in range(schedule):
             rng = np.random.default_rng(seed + rep)
             s_outer = int(rng.integers(1 << 31))
-            a_outer = outer_cover(wc.h_cross, k, s_outer, cfg.outer_radius_const)
+            a_outer = outer_cover(wc.h_cross, k, s_outer)
             if not a_outer:
                 continue
             sub, ids = wc.h_cross.induced(a_outer)
@@ -431,7 +386,7 @@ def solve_long_path(
                 comp_ids = [ids[x] for x in comp]
                 cg, cl = wc.h_cross.induced(comp_ids)
                 td = heuristic_decomposition(cg)
-                if td.width <= cfg.dp_width_cap or cg.n <= 24:
+                if td.width <= DP_WIDTH_CAP or cg.n <= 24:
                     chosen = set(cl)
                 else:
                     s_pat = int(rng.integers(1 << 31))
@@ -441,7 +396,7 @@ def solve_long_path(
                     chosen = {cl[x] for x in sample.vertices}
                 dg, dl = wc.h_prime.induced(chosen)
                 dtd = heuristic_decomposition(dg)
-                if dtd.width > cfg.dp_width_cap and dg.n > 24:
+                if dtd.width > DP_WIDTH_CAP and dg.n > 24:
                     continue
                 w_sub = [wc.weights[v] for v in dl]
                 cert_sub = weighted_longpath_dp(dg, w_sub, dtd, k)

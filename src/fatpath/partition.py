@@ -135,10 +135,8 @@ class SolverConfig:
     theory_mode: bool = False
     c_r: float = 4.0
     c_rep: float = 1.0
-    outer_radius_const: float = 4.0
     repetition_budget: int = 10_000
     d: int = 2
-    dp_width_cap: int = 10
 
     def __post_init__(self):
         if self.lam < 1 or self.g_threshold < 1:

@@ -4,6 +4,8 @@ import io
 import itertools
 from contextlib import redirect_stdout
 
+import pytest
+
 from fatpath.certificates import Certificate
 from fatpath.cli import main
 from fatpath.graphs import Graph, read_graph, write_graph
@@ -74,6 +76,39 @@ def test_malformed_instance_json_exits_2(tmp_path):
         assert run(["ham", str(p)])[0] == 2, name
         assert run(["longpath", str(p), "--k", "4"])[0] == 2, name
         assert run(["graph", str(p)])[0] == 2, name
+
+
+def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
+    from fatpath import hamilton
+    c5 = tmp_path / "c5.txt"
+    c5.write_text(write_graph(Graph(5, [(i, (i + 1) % 5) for i in range(5)])))
+    # a Hamiltonian cycle of K5 that uses non-edges of C5
+    corrupt = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
+    with monkeypatch.context() as m:
+        m.setattr(hamilton, "solve_dp", lambda *args, **kwargs: corrupt)
+        assert run(["ham", str(c5)]) == (3, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+    # K8 plus a triangle: two parts, so the lift runs; blaming the same part
+    # twice stops the fallback loop
+    edges = list(itertools.combinations(range(8), 2)) + [(0, 8), (1, 9), (8, 9)]
+    g = tmp_path / "k8.txt"
+    g.write_text(write_graph(Graph(10, edges)))
+
+    def blame_part_0(*args, **kwargs):
+        raise hamilton.FallbackRequired(0)
+
+    monkeypatch.setattr(hamilton, "reconstruct", blame_part_0)
+    assert run(["ham", str(g)]) == (3, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ham_and_partition_take_no_seed(tmp_path, capsys):
+    path, _ = write_k5(tmp_path)
+    for cmd in ("ham", "partition"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, path, "--seed", "1"])
+        assert exc.value.code == 2, cmd
 
 
 def test_ham_missing_file():

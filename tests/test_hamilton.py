@@ -43,8 +43,7 @@ def refined(g, cfg=None):
 def test_red_closure_cliques_no_fill():
     g = k(5)
     p = refined(g)
-    gx = red_closure(g, p)
-    assert gx.red_edges == frozenset()
+    assert red_closure(g, p) == frozenset()
 
 
 def test_red_closure_c6_two_parts():
@@ -52,8 +51,7 @@ def test_red_closure_c6_two_parts():
     g = cycle(6)
     p = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})),
                   (RAW, RAW), (None, None), "test")
-    gx = red_closure(g, p)
-    assert gx.red_edges == {(0, 2), (3, 5)}
+    assert red_closure(g, p) == {(0, 2), (3, 5)}
 
 
 def test_red_closure_parts_complete():
@@ -62,19 +60,18 @@ def test_red_closure_parts_complete():
         comp = max(g.components(), key=len)
         sub, _ = g.induced(comp)
         p = refined(sub)
-        gx = red_closure(sub, p)
+        red = red_closure(sub, p)
         for part in p.parts:
             for u, v in itertools.combinations(sorted(part), 2):
-                assert gx.graph.has_edge(u, v)
+                assert sub.has_edge(u, v) != ((u, v) in red)
 
 
 def test_blue_single_cross_edge_both_strategies():
     # two triangles joined by one edge
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
     p = refined(g)
-    gx = red_closure(g, p)
     for strategy in ("all", "bounded"):
-        blue = select_blue_edges(gx, p, strategy)
+        blue = select_blue_edges(g, p, strategy)
         assert sum(len(v) for v in blue.sets.values()) == 1
 
 
@@ -84,11 +81,10 @@ def test_blue_bounded_cap():
         comp = max(g.components(), key=len)
         sub, _ = g.induced(comp)
         p = refined(sub)
-        gx = red_closure(sub, p)
         from fatpath.partition import build_quotient
         q = build_quotient(sub, p.parts)
         delta = max(q.graph.max_degree(), 1)
-        blue = select_blue_edges(gx, p, "bounded")
+        blue = select_blue_edges(sub, p, "bounded")
         for pairs in blue.sets.values():
             assert len(pairs) <= 4 * (2 * delta - 1) ** 2
 
@@ -96,9 +92,8 @@ def test_blue_bounded_cap():
 def test_compress_all_blue_incident_keeps_everything():
     g = cycle(6)
     p = refined(g, SolverConfig(g_threshold=2))
-    gx = red_closure(g, p)
-    blue = select_blue_edges(gx, p, "all")
-    comp = compress(gx, p, blue)
+    blue = select_blue_edges(g, p, "all")
+    comp = compress(g, p, blue)
     # every vertex of C6 has a cross edge, so nothing is dropped
     assert comp.h.n == 6
 
@@ -112,9 +107,8 @@ def test_compress_interior_dropped():
     g = Graph(11, edges)
     p = Partition((frozenset(range(8)), frozenset({8, 9, 10})),
                   (CLIQUE, CLIQUE), (None, None), "test")
-    gx = red_closure(g, p)
-    blue = select_blue_edges(gx, p, "all")
-    comp = compress(gx, p, blue)
+    blue = select_blue_edges(g, p, "all")
+    comp = compress(g, p, blue)
     assert comp.h.n == 4  # two blue endpoints plus two specials
     assert comp.special == (1, 9)
     incident = {v for pairs in blue.sets.values() for e in pairs for v in e}
@@ -158,9 +152,8 @@ def test_dp_matches_held_karp(seed):
 def test_reconstruct_identity_when_uncompressed():
     g = cycle(6)
     p = refined(g, SolverConfig(g_threshold=2))
-    gx = red_closure(g, p)
-    blue = select_blue_edges(gx, p, "all")
-    comp = compress(gx, p, blue)
+    blue = select_blue_edges(g, p, "all")
+    comp = compress(g, p, blue)
     cert_h = hamiltonian_cycle_dp(comp.h, heuristic_decomposition(comp.h))
     cert = reconstruct(g, p, comp, cert_h)
     assert cert.validate(g, hamiltonian=True)

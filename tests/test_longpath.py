@@ -6,7 +6,6 @@ import pytest
 
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
-from fatpath.hamilton import red_closure
 from fatpath.longpath import (
     build_weighted,
     mark,
@@ -38,21 +37,21 @@ def pipeline(g, cfg=None):
     cfg = cfg or SolverConfig()
     p0, _ = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, cfg)
-    return p, red_closure(g, p)
+    return p
 
 
 def test_mark_full_keeps_all():
     g = random_graph(12, 0.4, 1)
-    p, gx = pipeline(g)
-    m = mark(gx, p, "full")
+    p = pipeline(g)
+    m = mark(g, p, "full")
     assert all(m.sets[i] == p.parts[i] for i in range(len(p.parts)))
 
 
 def test_mark_bounded_single_cross_edge():
     # two triangles, one cross edge: its endpoints plus two extras per part
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-    p, gx = pipeline(g)
-    m = mark(gx, p, "bounded")
+    p = pipeline(g)
+    m = mark(g, p, "bounded")
     for i, part in enumerate(p.parts):
         endpoint = part & {2, 3}
         assert endpoint <= m.sets[i]
@@ -61,18 +60,18 @@ def test_mark_bounded_single_cross_edge():
 
 def test_build_weighted_full_marking_no_contraction():
     g = random_graph(10, 0.4, 2)
-    p, gx = pipeline(g)
-    wc = build_weighted(gx, p, mark(gx, p, "full"))
+    p = pipeline(g)
+    wc = build_weighted(g, p, mark(g, p, "full"))
     assert wc.contracted == {}
     assert all(w == 1 for w in wc.weights)
-    assert wc.h.n == g.n
+    assert wc.h_prime.n == wc.h_cross.n == g.n
 
 
 def test_build_weighted_single_part_contraction():
     g = k(7)
-    p, gx = pipeline(g)
-    m = mark(gx, p, "bounded")
-    wc = build_weighted(gx, p, m)
+    p = pipeline(g)
+    m = mark(g, p, "bounded")
+    wc = build_weighted(g, p, m)
     # no cross edges: only the two extras are marked; the rest contracts
     assert len(wc.contracted) == 1
     v = wc.contracted[0]
@@ -84,25 +83,29 @@ def test_build_weighted_conservation_and_twins():
         g = random_graph(13, 0.35, 200 + seed)
         comp = max(g.components(), key=len)
         sub, _ = g.induced(comp)
-        p, gx = pipeline(sub)
-        wc = build_weighted(gx, p, mark(gx, p, "bounded"))
+        p = pipeline(sub)
+        wc = build_weighted(sub, p, mark(sub, p, "bounded"))
         assert sum(wc.weights) == sub.n
-        # kept sets are cliques in H
+        # kept sets are cliques in H'
         members = {}
-        for hv in range(wc.h.n):
+        for hv in range(wc.h_prime.n):
             members.setdefault(wc.part_of_h[hv], []).append(hv)
         for vs in members.values():
             for a, b in itertools.combinations(vs, 2):
-                assert wc.h.has_edge(a, b)
+                assert wc.h_prime.has_edge(a, b)
         # true twins in the completed graph: equal closed neighborhoods
         for vs in members.values():
             hoods = {
                 frozenset(wc.h_cross.neighbors(v) | {v}) for v in vs
             }
             assert len(hoods) == 1
-        # h_prime <= h <= h_cross
-        assert set(wc.h_prime.edges()) <= set(wc.h.edges())
-        assert set(wc.h.edges()) <= set(wc.h_cross.edges())
+        # h_prime <= h_cross, and h_prime keeps no cross edge at a
+        # contracted vertex
+        assert set(wc.h_prime.edges()) <= set(wc.h_cross.edges())
+        contracted = set(wc.contracted.values())
+        for a, b in wc.h_prime.edges():
+            if wc.part_of_h[a] != wc.part_of_h[b]:
+                assert not {a, b} & contracted
 
 
 def test_outer_cover_radius_invariant():
