@@ -75,8 +75,6 @@ def _load_graph(args) -> Graph:
 
 def _config(args) -> SolverConfig:
     kw = {}
-    if getattr(args, "lam", None) is not None:
-        kw["lam"] = args.lam
     if getattr(args, "g_threshold", None) is not None:
         kw["g_threshold"] = args.g_threshold
     if getattr(args, "budget", None) is not None:
@@ -218,13 +216,12 @@ def _add_geometry_flags(sp, need_n=True):
     sp.add_argument("--shape-mix", type=float, default=1.0)
 
 
-def _add_solver_flags(sp):
-    sp.add_argument("--lambda", dest="lam", type=int, default=None)
+def _add_solver_flags(sp, cover: bool = False):
     sp.add_argument("--g-threshold", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--cr", type=float, default=None)
-    sp.add_argument("--crep", type=float, default=None)
-    sp.add_argument("--d", type=int, default=None)
+    if cover:  # the long path solver's cover route reads these
+        sp.add_argument("--budget", type=int, default=None)
+        sp.add_argument("--cr", type=float, default=None)
+        sp.add_argument("--crep", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--mark-strategy", choices=["full", "bounded"], default="full")
-    _add_solver_flags(sp)
+    _add_solver_flags(sp, cover=True)
+    sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_longpath)
 
@@ -279,12 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="hamcycle")
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--k", type=int, default=None)
-    _add_geometry_flags(sp)
-    sp.add_argument("--lambda", dest="lam", type=int, default=None)
-    sp.add_argument("--g-threshold", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--cr", type=float, default=None)
-    sp.add_argument("--crep", type=float, default=None)
+    _add_geometry_flags(sp)  # its --d is also the cover dimension
+    _add_solver_flags(sp, cover=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stable", action="store_true",
                     help="write ms=0 for reproducible output")

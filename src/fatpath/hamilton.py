@@ -1,32 +1,33 @@
 """Hamiltonian cycle and path through partition compression.
 
-Pipeline: pick bounded cross-edge sets (blue edges), then build the
-compressed graph H from G directly: each part shrinks to its blue-incident
-vertices plus one special vertex and becomes a clique in H (the red edges
-of red_closure, added inline), raw parts stay whole with their own edges.
-H is solved by treewidth DP, or by the exhaustive search _dfs_ham when it
-is small and its decomposition wide, and the witness is lifted back.
-reconstruct maps H ids to input ids and lets clique parts absorb their
-missing vertices next to the special vertex.
+Pipeline: pick bounded cross-edge sets (blue edges), then contract G along
+the partition (compress): every part that is not raw keeps its
+blue-incident vertices plus one contracted vertex standing for the rest and
+becomes a clique (the red edges of red_closure, added inline); raw parts
+stay whole with their own edges.  H is solved by treewidth DP, or by the
+exhaustive search _dfs_ham when it is small and its decomposition wide, and
+reconstruct puts each contracted vertex's set back where it sits in the
+witness before the lift.
 
-_dfs_ham is the only exhaustive search in the package: with unit weights
-it finds Hamiltonian cycles and paths, with vertex weights and a target k
-the long path solver's weighted paths.
+The long path solver shares the contraction, the expansion and the search:
+it calls compress as build_weighted with its own selection (longpath.mark),
+reconstruct as _expand, and _dfs_ham, which with vertex weights and a target
+k finds its weighted paths, as _dfs_longpath.
 
-This module also holds the lift that the long path solver shares: _lift
-splits the witness into same-part runs, replaces the runs inside linked
-parts by exact spanning linkages and validates the result, raising
-FallbackRequired for a part it cannot lift.  _fallback_loop then retries
-the solve with that part kept verbatim (raw), so soundness never depends on
-the desk-scale connectivity constants.  Every certificate a DP or search
-step returns passes certificates.checked, which raises CertificateError
-instead of asserting.
+This module also holds the lift both solvers share: _lift splits the
+witness into same-part runs, replaces the runs inside linked parts by exact
+spanning linkages and validates the result, raising FallbackRequired for a
+part it cannot lift.  _fallback_loop then retries the solve with that part
+kept verbatim (raw), so soundness never depends on the desk-scale
+connectivity constants.  Every certificate a DP or search step returns
+passes certificates.checked, which raises CertificateError instead of
+asserting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 from .certificates import Certificate, checked
 from .dp import solve_dp
@@ -46,7 +47,7 @@ from .treewidth import TreeDecomposition, heuristic_decomposition
 
 __all__ = [
     "BlueSelection",
-    "CompressedGraph",
+    "Contraction",
     "FallbackRequired",
     "red_closure",
     "select_blue_edges",
@@ -61,8 +62,8 @@ __all__ = [
 
 def red_closure(g: Graph, p: Partition) -> frozenset[tuple[int, int]]:
     """The red edges: the non-edges of g inside a part, which make every
-    part a clique.  compress and build_weighted add them inline, as the
-    clique on each non-raw part's kept vertices."""
+    part a clique.  compress adds them inline, as the clique on the kept and
+    contracted vertices of each part that is not raw."""
     red = set()
     for part in p.parts:
         vs = sorted(part)
@@ -80,13 +81,9 @@ class BlueSelection:
     sets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     strategy: str
 
-    def incident_vertices(self) -> set[int]:
-        out: set[int] = set()
-        for pairs in self.sets.values():
-            for u, v in pairs:
-                out.add(u)
-                out.add(v)
-        return out
+    def kept(self) -> frozenset[int]:
+        """The endpoints of the chosen edges, which the contraction keeps."""
+        return frozenset(v for pairs in self.sets.values() for e in pairs for v in e)
 
 
 def select_blue_edges(
@@ -94,7 +91,9 @@ def select_blue_edges(
 ) -> BlueSelection:
     """strategy "all": every cross edge (certified default).  "bounded": a
     deterministic subset of size <= 4(2D-1)^2 per part pair, D the quotient
-    degree; its adequacy is enforced by oracle-equivalence tests."""
+    degree; its adequacy is enforced by oracle-equivalence tests.  The
+    contraction keeps the chosen edges' endpoints and every input cross edge
+    between them."""
     if strategy not in ("all", "bounded"):
         raise ValueError(f"unknown blue strategy {strategy!r}")
     cross = cross_edges(g, p.part_of())
@@ -121,71 +120,75 @@ def select_blue_edges(
     return BlueSelection(sets, strategy)
 
 
-@dataclass(frozen=True)
-class CompressedGraph:
-    h: Graph
-    origin: tuple[int, ...]  # h vertex -> g vertex
-    kept: tuple[frozenset[int], ...]  # per part, in g ids
-    special: tuple[Optional[int], ...]  # per part, in g ids
-    raw_parts: frozenset[int]
+class Selection(Protocol):
+    """What a solver's selection rule (select_blue_edges, longpath.mark)
+    hands to the contraction."""
 
-    def to_h(self) -> dict[int, int]:
-        return {g: h for h, g in enumerate(self.origin)}
+    def kept(self) -> frozenset[int]: ...
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """H, the contraction both solvers solve; see compress."""
+
+    h: Graph
+    weights: tuple[int, ...]  # per H vertex: 1, or the size of its set
+    origin: tuple[Optional[int], ...]  # H vertex -> input id; None if contracted
+    part_of_h: tuple[int, ...]
+    u_sets: tuple[tuple[int, ...], ...]  # per part, the vertices contracted
+    contracted: dict[int, int]  # part id -> its contracted H vertex
+    raw_parts: frozenset[int]  # the parts kept whole, RAW kinds included
 
 
 def compress(
     g: Graph,
     p: Partition,
-    blue: BlueSelection,
+    sel: Selection,
     raw_parts: frozenset[int] = frozenset(),
-) -> CompressedGraph:
-    """Build H: per part keep the blue-incident vertices plus the smallest
-    non-blue-incident vertex as the special vertex; raw parts are kept whole
-    with their original (non-red) edges.  Cross edges of H are exactly the
-    blue edges."""
-    incident = blue.incident_vertices()
-    kept: list[frozenset[int]] = []
-    special: list[Optional[int]] = []
-    effective_raw = set(raw_parts)
-    for i, part in enumerate(p.parts):
-        if p.kinds[i] == RAW:
-            effective_raw.add(i)
-    for i, part in enumerate(p.parts):
-        if i in effective_raw:
-            kept.append(frozenset(part))
-            special.append(None)
-            continue
-        inc = part & incident
-        rest = sorted(part - inc)
-        sp = rest[0] if rest else None
-        keep = set(inc)
-        if sp is not None:
-            keep.add(sp)
-        kept.append(frozenset(keep))
-        special.append(sp)
-    origin = tuple(sorted(v for ks in kept for v in ks))
-    to_h = {g: h for h, g in enumerate(origin)}
-    edges = []
-    for i, ks in enumerate(kept):
-        vs = sorted(ks)
-        if i in effective_raw:
-            edges.extend(
-                (to_h[u], to_h[v])
-                for a, u in enumerate(vs)
-                for v in vs[a + 1 :]
-                if g.has_edge(u, v)
-            )
-        else:
-            edges.extend(
-                (to_h[u], to_h[v]) for a, u in enumerate(vs) for v in vs[a + 1 :]
-            )
-    for pairs in blue.sets.values():
-        for u, v in pairs:
-            if u in to_h and v in to_h:
-                edges.append((to_h[u], to_h[v]))
-    h = Graph(len(origin), edges)
-    return CompressedGraph(
-        h, origin, tuple(kept), tuple(special), frozenset(effective_raw)
+) -> Contraction:
+    """Build H: every part that is not raw keeps the selected vertices plus
+    one contracted vertex standing for the rest, weighted by their count,
+    and becomes a clique (the red edges of red_closure); raw parts, RAW kinds
+    included, stay whole with their own edges.  H keeps the input cross edges
+    between kept vertices, so a contracted vertex has none.  H vertices are
+    in input-id order, a contracted vertex in the slot of the smallest vertex
+    it stands for."""
+    keep = sel.kept()
+    raw = frozenset(raw_parts) | {i for i, kind in enumerate(p.kinds) if kind == RAW}
+    u_sets = tuple(
+        () if i in raw else tuple(sorted(part - keep)) for i, part in enumerate(p.parts)
+    )
+    # (input id of the slot, part id, whether the slot is a contracted vertex)
+    slots = sorted(
+        [(v, i, False) for i, part in enumerate(p.parts) for v in part - set(u_sets[i])]
+        + [(us[0], i, True) for i, us in enumerate(u_sets) if us]
+    )
+    origin = tuple(None if c else v for v, _, c in slots)
+    part_of_h = tuple(i for _, i, _ in slots)
+    members: dict[int, list[int]] = {}
+    for hv, i in enumerate(part_of_h):
+        members.setdefault(i, []).append(hv)
+    edges = [
+        (a, b)
+        for i, vs in members.items()
+        for x, a in enumerate(vs)
+        for b in vs[x + 1 :]
+        if i not in raw or g.has_edge(origin[a], origin[b])
+    ]
+    to_h = {v: hv for hv, v in enumerate(origin) if v is not None}
+    edges += [
+        (to_h[u], to_h[v])
+        for u, v in g.edges()
+        if u in to_h and v in to_h and part_of_h[to_h[u]] != part_of_h[to_h[v]]
+    ]
+    return Contraction(
+        Graph(len(slots), edges),
+        tuple(len(u_sets[i]) if c else 1 for _, i, c in slots),
+        origin,
+        part_of_h,
+        u_sets,
+        {i: hv for hv, (_, i, c) in enumerate(slots) if c},
+        raw,
     )
 
 
@@ -357,12 +360,10 @@ def _lift(
         if p.kinds[pid] == CLIQUE or pid in raw_parts:
             continue
         open_ris = [ri for ri in ris if len(runs[ri]) > 1]
+        if not open_ris:
+            continue
         fixed = {runs[ri][0] for ri in ris if len(runs[ri]) == 1}
         remainder = frozenset(p.parts[pid] - fixed)
-        if not open_ris:
-            if hamiltonian and remainder:
-                raise FallbackRequired(pid)
-            continue
         if len(remainder) > SIZE_GUARD:
             raise FallbackRequired(pid)
         pairs = tuple((runs[ri][0], runs[ri][-1]) for ri in open_ris)
@@ -398,39 +399,21 @@ def _fallback_loop(
 def reconstruct(
     g: Graph,
     p: Partition,
-    comp: CompressedGraph,
+    c: Contraction,
     cert_h: Certificate,
+    hamiltonian: bool = True,
 ) -> Certificate:
     """Lift a certificate of H to one of G, or raise FallbackRequired.
 
-    H ids map back to G ids, and every clique part gets its dropped vertices
-    back next to its special vertex, between two vertices of the part; the
-    shared lift does the rest.
+    Every contracted vertex is replaced by the vertices it stands for, in
+    ascending id, where it sits in the witness; the shared lift does the
+    rest.
     """
-    owner = p.part_of()
-    seq = [comp.origin[v] for v in cert_h.vertices]
-    cyclic = cert_h.kind == "cycle"
-    present = set(seq)
-
-    def in_part(i: int, pid: int) -> bool:
-        if cyclic:
-            i %= len(seq)
-        return 0 <= i < len(seq) and owner[seq[i]] == pid
-
-    for pid, part in enumerate(p.parts):
-        missing = sorted(part - present)
-        if p.kinds[pid] != CLIQUE or pid in comp.raw_parts or not missing:
-            continue
-        at = seq.index(comp.special[pid])
-        if in_part(at + 1, pid):
-            seq[at + 1 : at + 1] = missing
-        elif in_part(at - 1, pid):
-            seq[at:at] = missing
-        else:
-            # a lone special vertex has cross neighbors on both sides in
-            # the witness; missing vertices cannot attach
-            raise FallbackRequired(pid)
-    return _lift(g, p, seq, cert_h.kind, comp.raw_parts, hamiltonian=True)
+    seq: list[int] = []
+    for hv in cert_h.vertices:
+        v = c.origin[hv]
+        seq.extend(c.u_sets[c.part_of_h[hv]] if v is None else (v,))
+    return _lift(g, p, seq, cert_h.kind, c.raw_parts, hamiltonian)
 
 
 def _solve(g: Graph, cfg: SolverConfig, kind: str,
@@ -438,9 +421,7 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
     if g.n == 0:
         return None
     if not g.is_connected():
-        if kind == "cycle" or g.n > 1:
-            return None
-        return Certificate("path", (0,))
+        return None
     if kind == "cycle" and g.n < 3:
         return None
     if kind == "path" and g.n == 1:

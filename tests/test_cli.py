@@ -104,11 +104,18 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_ham_and_partition_take_no_seed(tmp_path, capsys):
+    # nor any other flag that no code they run reads
     path, _ = write_k5(tmp_path)
-    for cmd in ("ham", "partition"):
+    unread = [["--seed", "1"], ["--lambda", "7"], ["--budget", "5"],
+              ["--cr", "2.0"], ["--crep", "2.0"], ["--d", "3"]]
+    for cmd, flag in itertools.product(("ham", "partition"), unread):
         with pytest.raises(SystemExit) as exc:
-            main([cmd, path, "--seed", "1"])
-        assert exc.value.code == 2, cmd
+            main([cmd, path] + flag)
+        assert exc.value.code == 2, (cmd, flag)
+    for argv in (["longpath", path, "--k", "4"], ["bench", "--count", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--lambda", "7"])
+        assert exc.value.code == 2, argv
 
 
 def test_ham_missing_file():

@@ -101,7 +101,7 @@ def test_compress_all_blue_incident_keeps_everything():
 def test_compress_interior_dropped():
     from fatpath.partition import Partition, CLIQUE
     # K8 joined to a triangle by a single cross edge: clique interiors
-    # shrink to one special vertex each
+    # shrink to one contracted vertex each
     edges = list(itertools.combinations(range(8), 2))
     edges += [(8, 9), (8, 10), (9, 10), (0, 8)]
     g = Graph(11, edges)
@@ -109,11 +109,12 @@ def test_compress_interior_dropped():
                   (CLIQUE, CLIQUE), (None, None), "test")
     blue = select_blue_edges(g, p, "all")
     comp = compress(g, p, blue)
-    assert comp.h.n == 4  # two blue endpoints plus two specials
-    assert comp.special == (1, 9)
-    incident = {v for pairs in blue.sets.values() for e in pairs for v in e}
-    for kept in comp.kept:
-        assert len(kept - incident) <= 1
+    assert comp.h.n == 4  # two blue endpoints plus two contracted vertices
+    assert comp.u_sets == (tuple(range(1, 8)), (9, 10))
+    # in input-id order, a contracted vertex in its smallest vertex's slot
+    assert comp.origin == (0, None, 8, None)
+    assert comp.weights == (1, 7, 1, 2)
+    assert sorted(comp.h.edges()) == [(0, 1), (0, 2), (2, 3)]
 
 
 def test_cycle_dp_c5():
@@ -161,7 +162,7 @@ def test_reconstruct_identity_when_uncompressed():
 
 def test_reconstruct_inserts_clique_interior():
     # K8 core with a small satellite triangle; interior of the clique is
-    # dropped in H and must be re-inserted next to the special vertex
+    # contracted in H and must be expanded where its vertex sits
     edges = list(itertools.combinations(range(8), 2))
     edges += [(0, 8), (1, 9), (8, 9)]
     g = Graph(10, edges)
@@ -219,15 +220,26 @@ def test_solve_matches_oracle_geometric():
 
 
 def test_bounded_strategy_matches_oracle():
+    cases = []
     for seed in range(30):
         rng = random.Random(7000 + seed)
         n = rng.randint(4, 11)
-        g = random_graph(n, rng.uniform(0.25, 0.7), 7000 + seed)
-        mine = solve_hamiltonian_cycle(g, blue_strategy="bounded")
-        ref = held_karp_cycle(g)
-        assert (mine is None) == (ref is None)
-        if mine is not None:
-            assert mine.validate(g, hamiltonian=True)
+        cases.append((random_graph(n, rng.uniform(0.25, 0.7), 7000 + seed),
+                      SolverConfig()))
+    # at g_threshold=1 every Hamiltonian cycle and path of this graph uses a
+    # cross edge between two kept vertices that the bounded selection skips
+    cases.append((Graph(10, [
+        (0, 1), (0, 2), (0, 7), (0, 8), (0, 9), (1, 2), (1, 5), (1, 6), (1, 7),
+        (1, 8), (1, 9), (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+        (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8),
+        (6, 9)]), SolverConfig(g_threshold=1)))
+    for g, cfg in cases:
+        for solve, oracle in ((solve_hamiltonian_cycle, held_karp_cycle),
+                              (solve_hamiltonian_path, held_karp_path)):
+            mine = solve(g, cfg, blue_strategy="bounded")
+            assert (mine is None) == (oracle(g) is None)
+            if mine is not None:
+                assert mine.validate(g, hamiltonian=True)
 
 
 def test_certificate_serialization():

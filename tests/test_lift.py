@@ -1,10 +1,12 @@
-"""The shared lift from a compressed witness back to the input graph.
+"""The contraction both solvers share, and the shared lift from a
+witness of the contraction back to the input graph.
 
 At g_threshold=1 the refined partitions have many small linked parts, so
 spanning linkages fail often and both solvers go through fallback rounds:
 the blamed part is kept whole and the solve is retried.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -17,7 +19,7 @@ from fatpath import hamilton, longpath
 from fatpath.certificates import CertificateError
 from fatpath.graphs import Graph
 from fatpath.oracle import held_karp_cycle, held_karp_path, longest_path_exact
-from fatpath.partition import SolverConfig
+from fatpath.partition import RAW, SolverConfig, kappa_partition, refine_to_linked
 from fatpath.treewidth import heuristic_decomposition
 
 
@@ -38,6 +40,61 @@ def _count_raises(monkeypatch, module, name, counts):
             raise
 
     monkeypatch.setattr(module, name, counted)
+
+
+def test_contraction_invariants():
+    for seed in range(40):
+        g = random_graph(13, 0.35, 200 + seed)
+        sub, _ = g.induced(max(g.components(), key=len))
+        p = refine_to_linked(sub, kappa_partition(sub)[0], SolverConfig())[0]
+        owner = p.part_of()
+        selections = [hamilton.select_blue_edges(sub, p, s) for s in ("all", "bounded")]
+        selections += [longpath.mark(sub, p, s) for s in ("full", "bounded")]
+        for sel, raw in itertools.product(selections, (frozenset(), frozenset({0}))):
+            c = hamilton.compress(sub, p, sel, raw)
+            h = c.h
+            raw_kinds = {i for i, kind in enumerate(p.kinds) if kind == RAW}
+            assert c.raw_parts == raw | raw_kinds
+            assert sum(c.weights) == sub.n
+            # origin and u_sets partition V(G)
+            kept = [v for v in c.origin if v is not None]
+            contracted = [v for us in c.u_sets for v in us]
+            assert sorted(kept + contracted) == list(range(sub.n))
+            # H vertices in input-id order, a contracted vertex in the slot of
+            # the smallest vertex it stands for
+            slots = [c.u_sets[i][0] if v is None else v
+                     for v, i in zip(c.origin, c.part_of_h)]
+            assert slots == sorted(slots)
+            for hv, v in enumerate(c.origin):
+                if v is None:
+                    assert c.contracted[c.part_of_h[hv]] == hv
+                    assert c.weights[hv] == len(c.u_sets[c.part_of_h[hv]])
+                else:
+                    assert c.part_of_h[hv] == owner[v] and c.weights[hv] == 1
+            members = {}
+            for hv, i in enumerate(c.part_of_h):
+                members.setdefault(i, []).append(hv)
+            for i, vs in members.items():
+                kept_i = {c.origin[hv] for hv in vs} - {None}
+                if i in c.raw_parts:
+                    # raw parts keep exactly G's edges
+                    assert kept_i == p.parts[i]
+                    for a, b in itertools.combinations(vs, 2):
+                        assert h.has_edge(a, b) == sub.has_edge(
+                            c.origin[a], c.origin[b])
+                else:
+                    # the selected vertices plus a clique
+                    assert kept_i == p.parts[i] & sel.kept()
+                    for a, b in itertools.combinations(vs, 2):
+                        assert h.has_edge(a, b)
+            # H's cross edges are exactly the G edges between kept vertices
+            to_h = {v: hv for hv, v in enumerate(c.origin) if v is not None}
+            cross_h = {(a, b) for a, b in h.edges()
+                       if c.part_of_h[a] != c.part_of_h[b]}
+            cross_g = {tuple(sorted((to_h[u], to_h[v]))) for u, v in sub.edges()
+                       if owner[u] != owner[v] and u in to_h and v in to_h}
+            assert cross_h == cross_g
+            assert not {v for e in cross_h for v in e} & set(c.contracted.values())
 
 
 def test_fallback_rounds_match_oracles(monkeypatch):

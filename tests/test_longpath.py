@@ -7,6 +7,7 @@ import pytest
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
 from fatpath.longpath import (
+    _twin_complete,
     build_weighted,
     mark,
     outer_cover,
@@ -15,7 +16,13 @@ from fatpath.longpath import (
     weighted_longpath_dp,
 )
 from fatpath.oracle import longest_path_exact
-from fatpath.partition import SolverConfig, kappa_partition, refine_to_linked
+from fatpath.partition import (
+    RAW,
+    Partition,
+    SolverConfig,
+    kappa_partition,
+    refine_to_linked,
+)
 from fatpath.treewidth import heuristic_decomposition
 
 
@@ -64,7 +71,7 @@ def test_build_weighted_full_marking_no_contraction():
     wc = build_weighted(g, p, mark(g, p, "full"))
     assert wc.contracted == {}
     assert all(w == 1 for w in wc.weights)
-    assert wc.h_prime.n == wc.h_cross.n == g.n
+    assert wc.h.n == _twin_complete(g, p, wc)[0].n == g.n
 
 
 def test_build_weighted_single_part_contraction():
@@ -78,34 +85,51 @@ def test_build_weighted_single_part_contraction():
     assert wc.weights[v] == 5
 
 
-def test_build_weighted_conservation_and_twins():
+def test_build_weighted_keeps_raw_parts_whole():
+    # C6 cut into two RAW paths: nothing is contracted and no red edge is
+    # added, so H is G itself
+    g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    p = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})),
+                  (RAW, RAW), (None, None), "test")
+    for strategy in ("full", "bounded"):
+        wc = build_weighted(g, p, mark(g, p, strategy))
+        assert wc.contracted == {}
+        assert sorted(wc.h.edges()) == sorted(g.edges())
+
+
+def test_twin_completion():
     for seed in range(40):
         g = random_graph(13, 0.35, 200 + seed)
         comp = max(g.components(), key=len)
         sub, _ = g.induced(comp)
         p = pipeline(sub)
-        wc = build_weighted(sub, p, mark(sub, p, "bounded"))
-        assert sum(wc.weights) == sub.n
-        # kept sets are cliques in H'
-        members = {}
-        for hv in range(wc.h_prime.n):
-            members.setdefault(wc.part_of_h[hv], []).append(hv)
-        for vs in members.values():
-            for a, b in itertools.combinations(vs, 2):
-                assert wc.h_prime.has_edge(a, b)
-        # true twins in the completed graph: equal closed neighborhoods
-        for vs in members.values():
-            hoods = {
-                frozenset(wc.h_cross.neighbors(v) | {v}) for v in vs
-            }
-            assert len(hoods) == 1
-        # h_prime <= h_cross, and h_prime keeps no cross edge at a
-        # contracted vertex
-        assert set(wc.h_prime.edges()) <= set(wc.h_cross.edges())
-        contracted = set(wc.contracted.values())
-        for a, b in wc.h_prime.edges():
-            if wc.part_of_h[a] != wc.part_of_h[b]:
-                assert not {a, b} & contracted
+        for raw in (frozenset(), frozenset({0})):
+            wc = build_weighted(sub, p, mark(sub, p, "bounded"), raw)
+            hc, order = _twin_complete(sub, p, wc)
+            at = {hv: x for x, hv in enumerate(order)}
+            assert sorted(order) == list(range(wc.h.n))
+            # numbered part by part
+            assert [wc.part_of_h[hv] for hv in order] == sorted(wc.part_of_h)
+            for a, b in wc.h.edges():
+                assert hc.has_edge(at[a], at[b])
+            # every input cross edge is there, a contracted vertex standing
+            # for its whole set
+            to_h = {v: hv for hv, v in enumerate(wc.origin) if v is not None}
+            for i, hv in wc.contracted.items():
+                to_h.update((v, hv) for v in wc.u_sets[i])
+            for u, v in sub.edges():
+                if to_h[u] != to_h[v]:
+                    assert hc.has_edge(at[to_h[u]], at[to_h[v]])
+            # the vertices of a part that is not raw are true twins towards
+            # every part that is not raw
+            members = {}
+            for x, hv in enumerate(order):
+                members.setdefault(wc.part_of_h[hv], []).append(x)
+            raw_x = {x for i in wc.raw_parts for x in members[i]}
+            for i, xs in members.items():
+                if i not in wc.raw_parts:
+                    hoods = {frozenset((hc.neighbors(x) | {x}) - raw_x) for x in xs}
+                    assert len(hoods) == 1
 
 
 def test_outer_cover_radius_invariant():
