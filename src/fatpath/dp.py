@@ -15,14 +15,23 @@ cycle/path has closed.  Each state keeps one representative edge list for
 certificate reconstruction; in longpath mode the representative with the
 largest total weight wins.
 
-Tables move between bags by one transform (forget what leaves, introduce
-what arrives); a leaf is the transform of the empty state onto its bag.  A
-join pairs child states of equal inclusion pattern, at most one of them
-done and with at most two final ends between them, and _merge_states
-combines their segment systems.
+The tree is rooted at node 0 and solved children first.  Every vertex is
+forgotten at its top node, the node nearest the root whose bag holds it,
+right after its last edge: each edge of h belongs to the endpoint that is
+forgotten first (the one with the deeper top node, on a tie the smaller
+id), and at each node, once the children's tables are combined, the
+vertices whose top node it is are taken in ascending id, each applying
+its edges and then leaving the table.  A finished vertex therefore never
+multiplies the states of a later bag, a child's table reaches its parent
+already on the bag the two share, and moving it up only introduces the
+parent's other vertices; a leaf introduces its bag into the empty state.
+The root forgets its whole bag, so its table is on the empty bag.  A join
+pairs child states of equal inclusion pattern, at most one of them done and
+with at most two final ends between them, and _merge_states combines their
+segment systems.
 
-Deterministic: bags, vertices and transitions are always scanned in sorted
-order and ties keep the first representative.
+Deterministic: bags, vertices and edges are always scanned in sorted order
+and ties keep the first representative.
 """
 
 from __future__ import annotations
@@ -43,13 +52,14 @@ EXCLUDED = -3  # status value; degrees are 0,1,2
 #   match:    tuple, NO_PARTNER unless degree 1; else partner index or FINAL
 
 
-def _root_order(td: TreeDecomposition) -> tuple[list[int], list[list[int]]]:
-    """Root the decomposition tree at node 0; return postorder + children."""
+def _root_order(td: TreeDecomposition) -> tuple[list[int], list[int], list[list[int]]]:
+    """Root the decomposition tree at node 0; return postorder, parents and
+    children."""
     b = len(td.bags)
     adj = td.neighbors()
     parent = [-1] * b
     order = []
-    stack = [0]
+    stack = [0] if b else []
     seen = {0}
     while stack:
         u = stack.pop()
@@ -62,20 +72,42 @@ def _root_order(td: TreeDecomposition) -> tuple[list[int], list[list[int]]]:
     children: list[list[int]] = [[] for _ in range(b)]
     for v in order[1:]:
         children[parent[v]].append(v)
-    return order[::-1], children  # postorder (children before parents)
+    return order[::-1], parent, children  # postorder: children before parents
 
 
-def _assign_edges(h: Graph, td: TreeDecomposition) -> list[list[tuple[int, int]]]:
-    """Each edge of h goes to the smallest-index bag containing both ends."""
-    owner: list[list[tuple[int, int]]] = [[] for _ in td.bags]
+def _forget_schedule(
+    h: Graph, td: TreeDecomposition, postorder: list[int], parent: list[int]
+) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
+    """Where each vertex is forgotten and which edges it applies first.
+
+    A vertex v is forgotten at its top node, the node nearest the root whose
+    bag holds v; returned per postorder position, in ascending id.  Each edge
+    belongs to the endpoint forgotten first (deeper top node, then smaller
+    id); the other endpoint is in that top node's bag.  ValueError if td
+    misses a vertex or an edge of h, or the bags holding a vertex are not
+    connected.
+    """
+    top = [-1] * h.n  # postorder position of v's top node
+    for i, node in enumerate(postorder):
+        for v in td.bags[node]:
+            top[v] = i
+    forgotten_at: list[list[int]] = [[] for _ in postorder]
+    for v in range(h.n):
+        if top[v] < 0:
+            raise ValueError(f"vertex {v} is in no bag")
+        forgotten_at[top[v]].append(v)
+    for i, node in enumerate(postorder[:-1]):
+        for v in td.bags[node]:
+            if top[v] != i and v not in td.bags[parent[node]]:
+                raise ValueError(f"the bags holding vertex {v} are not connected")
+    owned: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for u, v in sorted(h.edges()):
-        for i, bag in enumerate(td.bags):
-            if u in bag and v in bag:
-                owner[i].append((u, v))
-                break
-        else:
-            raise ValueError(f"edge ({u},{v}) not covered by any bag")
-    return owner
+        a, b = (u, v) if (top[u], u) < (top[v], v) else (v, u)
+        # with connected bags, b is in a's top bag iff some bag holds (u, v)
+        if b not in td.bags[postorder[top[a]]]:
+            raise ValueError(f"edge ({u},{v}) is in no bag")
+        owned[a].append((u, v))
+    return forgotten_at, owned
 
 
 class _Table:
@@ -110,38 +142,35 @@ def solve_dp(
     """
     if mode not in ("cycle", "path", "longpath"):
         raise ValueError(f"unknown mode {mode!r}")
-    if h.n == 0 or len(td.bags) == 0:
+    if h.n == 0:
         return None
     w = list(weights) if weights is not None else [1] * h.n
     optional = mode == "longpath"
 
-    postorder, children = _root_order(td)
-    edge_owner = _assign_edges(h, td)
-    tables: dict[int, _Table] = {}
+    postorder, parent, children = _root_order(td)
+    forgotten_at, owned = _forget_schedule(h, td, postorder, parent)
 
-    for node in postorder:
+    tables: dict[int, tuple[_Table, tuple]] = {}
+    for i, node in enumerate(postorder):
         bag = tuple(sorted(td.bags[node]))
         kids = children[node]
         if not kids:
             table = _Table()
             table.add(((), (), 0, False), 0, [])
-            table = _transform(table, (), bag, w, optional, mode)
+            table = _transform(table, (), bag, w, optional)
         else:
-            parts = []
-            for c in kids:
-                cbag = tuple(sorted(td.bags[c]))
-                parts.append(_transform(tables.pop(c), cbag, bag, w, optional, mode))
+            parts = [_transform(*tables.pop(c), bag, w, optional) for c in kids]
             table = parts[0]
             for other in parts[1:]:
                 table = _join(table, other, bag, w, mode)
-        for u, v in edge_owner[node]:
-            table = _edge(table, bag, u, v, mode)
-        tables[node] = table
+        for v in forgotten_at[i]:
+            for a, b in owned[v]:
+                table = _edge(table, bag, a, b, mode)
+            table = _forget(table, bag, v, mode)
+            bag = tuple(x for x in bag if x != v)
+        tables[node] = (table, bag)
 
-    root = postorder[-1]
-    root_bag = tuple(sorted(td.bags[root]))
-    table = _transform(tables.pop(root), root_bag, (), w, optional, mode)
-
+    table, _ = tables.pop(postorder[-1])  # every root-bag vertex is forgotten
     best: Optional[list[tuple[int, int]]] = None
     best_w = -1
     for (statuses, match, m, done), (weight, edges) in table.items():
@@ -155,12 +184,10 @@ def solve_dp(
     return best
 
 
-def _transform(table: _Table, from_bag: tuple, to_bag: tuple, w, optional, mode) -> _Table:
+def _transform(table: _Table, from_bag: tuple, to_bag: tuple, w, optional) -> _Table:
+    """Introduce the vertices of to_bag that from_bag, a subset, lacks."""
     cur = table
     cur_bag = list(from_bag)
-    for v in sorted(set(from_bag) - set(to_bag)):
-        cur = _forget(cur, tuple(cur_bag), v, mode)
-        cur_bag.remove(v)
     for v in sorted(set(to_bag) - set(from_bag)):
         cur = _introduce(cur, tuple(cur_bag), v, w, optional)
         cur_bag = sorted(cur_bag + [v])

@@ -8,6 +8,8 @@ table at different nodes, at the same node, and below join nodes.
 
 import random
 
+import pytest
+
 from test_search import max_path_weight
 
 from fatpath import hamilton
@@ -88,3 +90,33 @@ def test_longpath_mode_matches_enumeration():
                 cert = sequence(g, edges, "path")
                 assert cert.validate(g), (seed, i)
                 assert sum(weights[v] for v in cert.vertices) == best, (seed, i)
+
+
+def test_rejects_decomposition_missing_an_edge():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    td = TreeDecomposition((frozenset({0, 1, 2}), frozenset({2, 3})), ((0, 1),))
+    for mode in ("cycle", "path", "longpath"):
+        with pytest.raises(ValueError, match=r"edge \(0,3\)"):
+            solve_dp(g, td, mode)
+
+
+def test_rejects_decomposition_missing_a_vertex():
+    # vertex 3 is isolated, so no edge check would notice it
+    g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    td = TreeDecomposition((frozenset({0, 1, 2}),), ())
+    for mode in ("cycle", "path", "longpath"):
+        with pytest.raises(ValueError, match="vertex 3"):
+            solve_dp(g, td, mode)
+    with pytest.raises(ValueError, match="vertex 0"):
+        solve_dp(g, TreeDecomposition((), ()), "cycle")
+
+
+def test_rejects_decomposition_with_disconnected_bags():
+    # vertex 0 is in the bags of nodes 0 and 2, but not in node 1 between them
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    td = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})), ((0, 1), (1, 2))
+    )
+    for mode in ("cycle", "path", "longpath"):
+        with pytest.raises(ValueError, match="vertex 0 are not connected"):
+            solve_dp(g, td, mode)
