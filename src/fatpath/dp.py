@@ -17,18 +17,17 @@ largest total weight wins.
 
 The tree is rooted at node 0 and solved children first.  Every vertex is
 forgotten at its top node, the node nearest the root whose bag holds it,
-right after its last edge: each edge of h belongs to the endpoint that is
-forgotten first (the one with the deeper top node, on a tie the smaller
-id), and at each node, once the children's tables are combined, the
-vertices whose top node it is are taken in ascending id, each applying
-its edges and then leaving the table.  A finished vertex therefore never
-multiplies the states of a later bag, a child's table reaches its parent
-already on the bag the two share, and moving it up only introduces the
-parent's other vertices; a leaf introduces its bag into the empty state.
-The root forgets its whole bag, so its table is on the empty bag.  A join
-pairs child states of equal inclusion pattern, at most one of them done and
-with at most two final ends between them, and _merge_states combines their
-segment systems.
+right after its last edge.  Each edge of h belongs to the endpoint that is
+forgotten first: the one with the deeper top node, on a tie the smaller id.
+At each node, once the children's tables are brought up to its bag and
+joined, the vertices whose top node it is are taken in ascending id; each
+applies its edges and leaves the table.  So a finished vertex never
+multiplies the states of a later bag, a child's table reaches its parent on
+the bag the two share (moving it up only introduces vertices), and the
+root's table ends on the empty bag.  A leaf introduces its bag into the
+empty state.  A join pairs child states of equal inclusion pattern, at most
+one of them done and with at most two final ends between them, and
+_merge_states combines their segment systems.
 
 Deterministic: bags, vertices and edges are always scanned in sorted order
 and ties keep the first representative.
@@ -78,14 +77,10 @@ def _root_order(td: TreeDecomposition) -> tuple[list[int], list[int], list[list[
 def _forget_schedule(
     h: Graph, td: TreeDecomposition, postorder: list[int], parent: list[int]
 ) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
-    """Where each vertex is forgotten and which edges it applies first.
-
-    A vertex v is forgotten at its top node, the node nearest the root whose
-    bag holds v; returned per postorder position, in ascending id.  Each edge
-    belongs to the endpoint forgotten first (deeper top node, then smaller
-    id); the other endpoint is in that top node's bag.  ValueError if td
-    misses a vertex or an edge of h, or the bags holding a vertex are not
-    connected.
+    """The vertices forgotten at each postorder position (at their top
+    node, ascending), and per vertex the edges it applies just before: each
+    edge goes to the endpoint forgotten first.  ValueError if td misses a
+    vertex or an edge of h, or the bags holding a vertex are not connected.
     """
     top = [-1] * h.n  # postorder position of v's top node
     for i, node in enumerate(postorder):
@@ -138,7 +133,8 @@ def solve_dp(
 
     For mode "longpath" the witness is a path of total vertex weight >=
     target with at least one edge (single-vertex paths are the caller's
-    job); weights default to 1.
+    job); weights default to 1.  ValueError if td misses a vertex or an edge
+    of h, or the bags holding a vertex are not connected.
     """
     if mode not in ("cycle", "path", "longpath"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from test_search import max_path_weight
+from test_search import max_path_weight, random_graph
 
 from fatpath import hamilton
 from fatpath.certificates import Certificate
@@ -18,12 +18,6 @@ from fatpath.dp import solve_dp
 from fatpath.graphs import Graph
 from fatpath.oracle import held_karp_cycle, held_karp_path
 from fatpath.treewidth import TreeDecomposition, heuristic_decomposition, validate
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 def gnp_cases(count, base):
