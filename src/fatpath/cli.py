@@ -1,4 +1,4 @@
-"""Command-line front end: instance generation, solving, covers, benchmarks.
+"""Command-line front end: instance generation, partitions, solving, covers.
 
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdict, 2 input error,
 3 internal error (a solver step produced a certificate that does not
@@ -8,10 +8,8 @@ validate, or its fallback loop did not converge; never a verdict).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-import time
 from typing import Optional
 
 from . import geometry
@@ -21,17 +19,10 @@ from .hamilton import solve_hamiltonian_cycle, solve_hamiltonian_path
 from .longpath import outer_cover, pattern_cover, solve_long_path
 from .partition import (
     SolverConfig,
-    build_quotient,
     kappa_partition,
     partition_to_json,
     refine_to_linked,
 )
-from .treewidth import heuristic_decomposition
-
-CSV_HEADER = [
-    "id", "n", "m", "d", "beta", "cmd", "seed", "verdict",
-    "cert_len", "ms", "h_size", "width", "reps",
-]
 
 
 class InputError(Exception):
@@ -169,49 +160,10 @@ def cmd_cover(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _config(args)
-    rows = []
-    for i in range(args.count):
-        seed = args.seed + i
-        inst = geometry.generate_instance(
-            d=args.d, beta=args.beta, n=args.n, box_side=args.box_side,
-            shape_mix=args.shape_mix, seed=seed,
-        )
-        g = geometry.intersection_graph(inst)
-        t0 = time.perf_counter()
-        if args.cmd == "longpath":
-            k = args.k if args.k is not None else max(4, g.n // 2)
-            cert = solve_long_path(g, k, cfg, seed=seed)
-        elif args.cmd == "hampath":
-            cert = solve_hamiltonian_path(g, cfg)
-        else:
-            cert = solve_hamiltonian_cycle(g, cfg)
-        ms = 0 if args.stable else int((time.perf_counter() - t0) * 1000)
-        td = heuristic_decomposition(g)
-        rows.append({
-            "id": i, "n": g.n, "m": g.m, "d": args.d, "beta": args.beta,
-            "cmd": args.cmd, "seed": seed,
-            "verdict": "yes" if cert is not None else "no",
-            "cert_len": len(cert.vertices) if cert is not None else "",
-            "ms": ms, "h_size": g.n, "width": td.width, "reps": 1,
-        })
-    out = sys.stdout if args.csv in (None, "-") else open(args.csv, "w", newline="")
-    try:
-        writer = csv.DictWriter(out, fieldnames=CSV_HEADER, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
-
-
-def _add_geometry_flags(sp, need_n=True):
+def _add_geometry_flags(sp):
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--beta", type=float, default=2.0)
-    if need_n:
-        sp.add_argument("--n", type=int, default=20)
+    sp.add_argument("--n", type=int, default=20)
     sp.add_argument("--box-side", type=float, default=20.0)
     sp.add_argument("--shape-mix", type=float, default=1.0)
 
@@ -271,19 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trace", default=None)
     sp.set_defaults(func=cmd_cover)
-
-    sp = sub.add_parser("bench", help="CSV of solver runs over a seed range")
-    sp.add_argument("--cmd", choices=["hamcycle", "hampath", "longpath"],
-                    default="hamcycle")
-    sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--k", type=int, default=None)
-    _add_geometry_flags(sp)  # its --d is also the cover dimension
-    _add_solver_flags(sp, cover=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--stable", action="store_true",
-                    help="write ms=0 for reproducible output")
-    sp.add_argument("--csv", default=None)
-    sp.set_defaults(func=cmd_bench)
     return ap
 
 

@@ -4,10 +4,11 @@ Pipeline: pick bounded cross-edge sets (blue edges), then contract G along
 the partition (compress): every part that is not raw keeps its
 blue-incident vertices plus one contracted vertex standing for the rest and
 becomes a clique (the red edges of red_closure, added inline); raw parts
-stay whole with their own edges.  H is solved by treewidth DP, or by the
-exhaustive search _dfs_ham when it is small and its decomposition wide, and
-reconstruct puts each contracted vertex's set back where it sits in the
-witness before the lift.
+stay whole with their own edges.  H is rejected outright when its degrees
+rule out a cycle or path (_degree_rejects), and otherwise solved by
+treewidth DP, or by the exhaustive search _dfs_ham when it is small and its
+decomposition wide; reconstruct puts each contracted vertex's set back where
+it sits in the witness before the lift.
 
 The long path solver shares the contraction, the expansion and the search:
 it calls compress as build_weighted with its own selection (longpath.mark),
@@ -290,8 +291,6 @@ def hamiltonian_cycle_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificat
     """Exact Hamiltonian cycle on h via partition-matching DP over td."""
     if h.n < 3:
         return None
-    if any(h.degree(v) < 2 for v in range(h.n)):
-        return None
     edges = solve_dp(h, td, "cycle")
     if edges is None:
         return None
@@ -416,6 +415,16 @@ def reconstruct(
     return _lift(g, p, seq, cert_h.kind, c.raw_parts, hamiltonian)
 
 
+def _degree_rejects(h: Graph, kind: str) -> bool:
+    """True when vertex degrees alone rule out a Hamiltonian cycle (a vertex
+    of degree < 2) or path (an isolated vertex, or more than two of degree 1)
+    on more than one vertex."""
+    degrees = [h.degree(v) for v in range(h.n)]
+    if kind == "cycle":
+        return min(degrees, default=0) < 2
+    return h.n > 1 and (0 in degrees or degrees.count(1) > 2)
+
+
 def _solve(g: Graph, cfg: SolverConfig, kind: str,
            blue_strategy: str = "all") -> Optional[Certificate]:
     if g.n == 0:
@@ -436,6 +445,8 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
     dp = hamiltonian_cycle_dp if kind == "cycle" else hamiltonian_path_dp
 
     def run_exact(h: Graph) -> Optional[Certificate]:
+        if _degree_rejects(h, kind):
+            return None
         td = heuristic_decomposition(h)
         if td.width > 7 and h.n <= 24:
             # bag DP pays off only below this width; small dense graphs go

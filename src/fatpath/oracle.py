@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .certificates import Certificate
+from .certificates import Certificate, CertificateError, checked
 from .graphs import Graph
 
 __all__ = [
@@ -61,12 +61,14 @@ def _recover_path(g: Graph, dp: list[int], mask: int, end: int,
         if prev_mask == 0:
             break
         cand = dp[prev_mask] & adj[end]
-        assert cand, "oracle reconstruction failed"
+        if not cand:
+            raise CertificateError("oracle reconstruction failed")
         nxt = (cand & -cand).bit_length() - 1
         path.append(nxt)
         mask, end = prev_mask, nxt
     path.reverse()
-    assert path[0] in starts or len(starts) == g.n
+    if path[0] not in starts:
+        raise CertificateError(f"oracle path starts at {path[0]}, not a start")
     return path
 
 
@@ -82,10 +84,7 @@ def held_karp_cycle(g: Graph) -> Optional[Certificate]:
     if not ends:
         return None
     end = (ends & -ends).bit_length() - 1
-    seq = _recover_path(g, dp, full, end, {0})
-    cert = Certificate("cycle", tuple(seq))
-    assert cert.validate(g)
-    return cert
+    return checked(g, "cycle", _recover_path(g, dp, full, end, {0}), hamiltonian=True)
 
 
 def held_karp_path(g: Graph) -> Optional[Certificate]:
@@ -101,10 +100,8 @@ def held_karp_path(g: Graph) -> Optional[Certificate]:
     if not dp[full]:
         return None
     end = (dp[full] & -dp[full]).bit_length() - 1
-    seq = _recover_path(g, dp, full, end, set(range(n)))
-    cert = Certificate("path", tuple(seq))
-    assert cert.validate(g)
-    return cert
+    return checked(g, "path", _recover_path(g, dp, full, end, set(range(n))),
+                   hamiltonian=True)
 
 
 def longest_path_exact(
@@ -156,13 +153,12 @@ def longest_path_exact(
                 nxt = x
                 break
             u ^= b
-        assert nxt is not None
+        if nxt is None:
+            raise CertificateError("oracle reconstruction failed")
         path.append(nxt)
         mask, v = prev_mask, nxt
     path.reverse()
-    cert = Certificate("path", tuple(path))
-    assert cert.validate(g)
-    return top_w, cert
+    return top_w, checked(g, "path", path, weights=w, target=top_w)
 
 
 def treewidth_exact(g: Graph) -> int:

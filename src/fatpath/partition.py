@@ -8,9 +8,8 @@ separator, plus an exhaustive clique partition of the separator interiors.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (
@@ -118,32 +117,31 @@ def build_quotient(g: Graph, parts: tuple[frozenset[int], ...]) -> QuotientGraph
     )
 
 
+# the most cliques a separator interior is split into before its pieces are
+# kept as they are
+KAPPA = 4
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the partition refinement and both solver pipelines.
 
     Defaults are desk-scale: downstream reconstruction verifies every linkage
-    exactly and falls back when a small lambda is insufficient, so
-    correctness does not depend on the astronomically large constants the
-    asymptotic analysis would demand.  theory_mode additionally asserts the
-    constant relations where they are claimed to hold.
+    exactly and falls back when a part is not linked enough, so correctness
+    does not depend on the astronomically large constants the asymptotic
+    analysis would demand.  c_r, c_rep, repetition_budget and d are read
+    only by the long path solver's cover route.
     """
 
-    kappa: int = 4
-    lam: int = 3
     g_threshold: int = 8
-    theory_mode: bool = False
     c_r: float = 4.0
     c_rep: float = 1.0
     repetition_budget: int = 10_000
     d: int = 2
 
     def __post_init__(self):
-        if self.lam < 1 or self.g_threshold < 1:
-            raise ValueError("require lam >= 1 and g_threshold >= 1")
-
-    def theory_g_threshold(self) -> int:
-        return max(self.kappa + 3, 10) * 2 * self.lam
+        if self.g_threshold < 1:
+            raise ValueError("require g_threshold >= 1")
 
 
 def kappa_partition(
@@ -252,16 +250,11 @@ def clique_partition_exact(
     return [frozenset(grp) for grp in groups]
 
 
-class ContractViolation(RuntimeError):
-    """The input is not in the promised class (theory_mode checks failed)."""
-
-
 def refine_to_linked(
     g: Graph, p0: Partition, cfg: SolverConfig
 ) -> tuple[Partition, QuotientGraph]:
     """Split every part into separator-tree leaves plus a clique cover of the
     separator interiors; tag each resulting part clique or linked."""
-    g_thr = cfg.theory_g_threshold() if cfg.theory_mode else cfg.g_threshold
     new_parts: list[frozenset[int]] = []
     new_kinds: list[PartKind] = []
     new_conn: list[int] = []
@@ -274,7 +267,7 @@ def refine_to_linked(
         else:
             new_parts.append(part)
             new_kinds.append(LINKED)
-            new_conn.append(g_thr + 1)
+            new_conn.append(cfg.g_threshold + 1)
 
     for part in p0.parts:
         if g.is_clique(part):
@@ -282,20 +275,15 @@ def refine_to_linked(
             new_kinds.append(CLIQUE)
             new_conn.append(0)
             continue
-        tree = separator_tree(g, part, g_thr)
+        tree = separator_tree(g, part, cfg.g_threshold)
         for leaf in tree.leaves():
             add_part(leaf)
         interior = tree.interior_union()
         if interior:
             cover = None
             if len(interior) <= 24:
-                cover = clique_partition_exact(g, interior, cfg.kappa)
+                cover = clique_partition_exact(g, interior, KAPPA)
             if cover is None:
-                if cfg.theory_mode:
-                    raise ContractViolation(
-                        "separator interiors admit no clique partition of size "
-                        f"<= {cfg.kappa}"
-                    )
                 # fall back to connected pieces of the interior, kept raw or
                 # clique; correctness is restored downstream by the solvers'
                 # fallback loop
@@ -324,15 +312,7 @@ def refine_to_linked(
         tuple(new_conn),
         provenance="refine_to_linked",
     )
-    q = build_quotient(g, p.parts)
-    if cfg.theory_mode:
-        q0 = build_quotient(g, p0.parts)
-        bound = (q0.graph.max_degree() + 1) * 2 * cfg.kappa
-        if q.graph.max_degree() > bound:
-            raise ContractViolation(
-                f"quotient degree {q.graph.max_degree()} exceeds {bound}"
-            )
-    return p, q
+    return p, build_quotient(g, p.parts)
 
 
 def partition_to_json(p: Partition) -> str:

@@ -1,25 +1,18 @@
-"""Tree decompositions: validation, min-fill heuristic construction, lifting
-a quotient decomposition to the full graph, and width accounting."""
+"""Tree decompositions: validation and min-fill heuristic construction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import networkx as nx
 from networkx.algorithms.approximation import treewidth_min_fill_in
 
 from .graphs import Graph
-from .partition import Partition
 
 __all__ = [
     "TreeDecomposition",
     "validate",
     "heuristic_decomposition",
-    "lift",
-    "weighted_width",
-    "decomposition_to_text",
-    "decomposition_from_text",
 ]
 
 
@@ -103,51 +96,3 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
         bags = (frozenset(range(g.n)),)
         edges = ()
     return TreeDecomposition(bags, edges)
-
-
-def lift(td_q: TreeDecomposition, p: Partition) -> TreeDecomposition:
-    """Replace every part index in a quotient decomposition by the part's
-    vertices.  Width is at most (max part size)*(quotient width + 1) - 1."""
-    bags = tuple(
-        frozenset().union(*(p.parts[i] for i in bag)) if bag else frozenset()
-        for bag in td_q.bags
-    )
-    return TreeDecomposition(bags, td_q.tree_edges)
-
-
-def weighted_width(td: TreeDecomposition, gamma: Sequence[float]) -> float:
-    """Max over bags of the summed per-vertex weights."""
-    if any(w < 0 for w in gamma):
-        raise ValueError("weights must be nonnegative")
-    return max((sum(gamma[v] for v in bag) for bag in td.bags), default=0.0)
-
-
-def decomposition_to_text(td: TreeDecomposition, n: int) -> str:
-    lines = [f"s td {len(td.bags)} {td.width + 1} {n}"]
-    for i, bag in enumerate(td.bags):
-        lines.append("b " + " ".join([str(i)] + [str(v) for v in sorted(bag)]))
-    for a, b in td.tree_edges:
-        lines.append(f"{a} {b}")
-    return "\n".join(lines) + "\n"
-
-
-def decomposition_from_text(text: str) -> tuple[TreeDecomposition, int]:
-    bags: dict[int, frozenset[int]] = {}
-    edges = []
-    n = 0
-    count = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if len(parts) != 5 or parts[1] != "td":
-                raise ValueError(f"line {lineno}: malformed header")
-            count, n = int(parts[2]), int(parts[4])
-        elif parts[0] == "b":
-            bags[int(parts[1])] = frozenset(int(x) for x in parts[2:])
-        else:
-            edges.append((int(parts[0]), int(parts[1])))
-    ordered = tuple(bags[i] for i in range(count))
-    return TreeDecomposition(ordered, tuple(edges)), n

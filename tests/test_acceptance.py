@@ -6,7 +6,6 @@ even under captured output) and then asserts the property it measured.
 
 import hashlib
 import io
-import itertools
 import math
 import statistics
 from contextlib import redirect_stdout
@@ -288,9 +287,12 @@ def test_byte_identical_reruns(capsys, tmp_path):
         ["cover", "--outer", "--k", "8", "--trials", "40", "--seed", "2",
          str(graph)],
     ]
-    for cmd in ("hamcycle", "hampath", "longpath"):
-        commands.append(["bench", "--cmd", cmd, "--stable", "--count", "12",
-                         "--n", "11", "--box-side", "7", "--seed", "1"])
+    for seed in range(1, 13):
+        small = str(tmp_path / f"small{seed}.json")
+        _run_cli(["generate", "--n", "11", "--seed", str(seed), "--box-side", "7",
+                  "-o", small])
+        commands += [["ham", small], ["ham", "--path", small],
+                     ["longpath", "--k", "5", "--seed", str(seed), small]]
     diffs = 0
     for argv in commands:
         h1 = hashlib.sha256(_run_cli(argv).encode()).hexdigest()

@@ -1,5 +1,3 @@
-import csv
-import hashlib
 import io
 import itertools
 from contextlib import redirect_stdout
@@ -8,7 +6,7 @@ import pytest
 
 from fatpath.certificates import Certificate
 from fatpath.cli import main
-from fatpath.graphs import Graph, read_graph, write_graph
+from fatpath.graphs import Graph, write_graph
 
 
 def run(argv):
@@ -112,10 +110,9 @@ def test_ham_and_partition_take_no_seed(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([cmd, path] + flag)
         assert exc.value.code == 2, (cmd, flag)
-    for argv in (["longpath", path, "--k", "4"], ["bench", "--count", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--lambda", "7"])
-        assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["longpath", path, "--k", "4", "--lambda", "7"])
+    assert exc.value.code == 2
 
 
 def test_ham_missing_file():
@@ -146,34 +143,3 @@ def test_cover_stats(tmp_path):
                      "--trace", str(trace)])
     assert code == 0
     assert trace.exists() and trace.read_text().count("\n") >= 2
-
-
-def test_bench_csv_certificates_revalidate(tmp_path):
-    out = tmp_path / "bench.csv"
-    code, _ = run(["bench", "--cmd", "hamcycle", "--count", "20", "--n", "9",
-                   "--box-side", "6", "--seed", "0", "--stable",
-                   "--csv", str(out)])
-    assert code == 0
-    from fatpath.geometry import generate_instance, intersection_graph
-    from fatpath.hamilton import solve_hamiltonian_cycle
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert len(rows) == 20
-    for row in rows:
-        g = intersection_graph(generate_instance(
-            d=2, beta=2.0, n=9, box_side=6.0, shape_mix=1.0,
-            seed=int(row["seed"])))
-        cert = solve_hamiltonian_cycle(g)
-        assert (row["verdict"] == "yes") == (cert is not None)
-        if cert is not None:
-            assert int(row["cert_len"]) == len(cert.vertices)
-
-
-def test_bench_stable_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["bench", "--count", "8", "--n", "10", "--box-side", "7",
-            "--seed", "3", "--stable"]
-    assert run(args + ["--csv", str(a)])[0] == 0
-    assert run(args + ["--csv", str(b)])[0] == 0
-    ha = hashlib.sha256(a.read_bytes()).hexdigest()
-    hb = hashlib.sha256(b.read_bytes()).hexdigest()
-    assert ha == hb

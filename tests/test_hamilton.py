@@ -3,6 +3,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from fatpath import hamilton
 from fatpath.certificates import Certificate
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
@@ -137,6 +138,23 @@ def test_path_dp_p4():
 def test_path_dp_star_absent():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert hamiltonian_path_dp(g, heuristic_decomposition(g)) is None
+
+
+def test_degree_rejections_skip_the_search(monkeypatch):
+    # a dense G(m, 0.6) is too wide for the DP, so its H goes to the search,
+    # which alone ran for seconds on these graphs; a pendant vertex rules out
+    # a cycle, and three rule out a path
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(hamilton, "_dfs_ham", search)
+    for seed in range(4):
+        m = 13 + 2 * seed
+        dense = list(random_graph(m, 0.6, seed).edges())
+        one = Graph(m + 1, dense + [(0, m)])
+        three = Graph(m + 3, dense + [(i, m + i) for i in range(3)])
+        assert solve_hamiltonian_cycle(one) is None, seed
+        assert solve_hamiltonian_path(three) is None, seed
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import fatpath
 from fatpath.graphs import Graph
 from fatpath.oracle import (
     held_karp_cycle,
@@ -54,6 +58,27 @@ def test_hk_path_star_absent():
 def test_hk_guard():
     with pytest.raises(ValueError):
         held_karp_cycle(Graph(21, []))
+
+
+def test_oracle_check_survives_python_O():
+    # a broken reconstruction must raise, also where python -O strips asserts
+    code = (
+        "from fatpath import oracle\n"
+        "from fatpath.certificates import CertificateError\n"
+        "from fatpath.graphs import Graph\n"
+        "oracle._recover_path = lambda *args: [0, 2, 1, 3, 4]\n"
+        "c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])\n"
+        "for solve in (oracle.held_karp_cycle, oracle.held_karp_path):\n"
+        "    try:\n"
+        "        solve(c5)\n"
+        "    except CertificateError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fatpath.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 def test_hk_cross_consistency():

@@ -4,14 +4,12 @@ import random
 
 import pytest
 
-from fatpath.geometry import Ball, generate_instance, intersection_graph
+from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph, vertex_connectivity
 from fatpath.oracle import planted_two_clique_graph
 from fatpath.partition import (
     CLIQUE,
-    LINKED,
     SolverConfig,
-    build_quotient,
     clique_partition_exact,
     kappa_partition,
     partition_from_json,
@@ -223,8 +221,3 @@ def test_parts_of_geometric_instance_stay_close():
             a, b = inst.objects[ids[u]], inst.objects[ids[v]]
             gap = math.dist(a.center, b.center) - a.radius - b.radius
             assert gap <= 2 * beta + 1e-9
-
-
-def test_theory_g_threshold_formula():
-    cfg = SolverConfig(kappa=4, lam=3, theory_mode=True)
-    assert cfg.theory_g_threshold() == max(4 + 3, 10) * 2 * 3

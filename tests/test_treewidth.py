@@ -5,16 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fatpath.graphs import Graph
 from fatpath.oracle import treewidth_exact
-from fatpath.partition import SolverConfig, kappa_partition, refine_to_linked
-from fatpath.treewidth import (
-    TreeDecomposition,
-    decomposition_from_text,
-    decomposition_to_text,
-    heuristic_decomposition,
-    lift,
-    validate,
-    weighted_width,
-)
+from fatpath.treewidth import TreeDecomposition, heuristic_decomposition, validate
 
 
 def grid(rows, cols):
@@ -90,71 +81,3 @@ def test_heuristic_always_valid(seed, n):
     g = random_graph(n, 0.3, seed)
     td = heuristic_decomposition(g)
     assert validate(g, td)
-
-
-def test_lift_singleton_parts_identity():
-    g = random_graph(10, 0.3, 2)
-    td = heuristic_decomposition(g)
-    p, _ = kappa_partition(Graph(10, []))  # singleton parts
-    lifted = lift(td, p)
-    assert lifted.bags == td.bags
-
-
-def test_lift_whole_graph_part():
-    from fatpath.partition import Partition, CLIQUE
-    g = Graph(4, list(itertools.combinations(range(4), 2)))
-    p = Partition((frozenset(range(4)),), (CLIQUE,), (None,), "test")
-    td_q = TreeDecomposition((frozenset({0}),), ())
-    lifted = lift(td_q, p)
-    assert lifted.bags == (frozenset(range(4)),)
-
-
-def test_lift_c6_partition():
-    g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    p, q = kappa_partition(g)
-    td_q = heuristic_decomposition(q.graph)
-    lifted = lift(td_q, p)
-    assert validate(g, lifted)
-    max_part = max(len(x) for x in p.parts)
-    assert lifted.width <= max_part * (td_q.width + 1) - 1
-
-
-def test_lift_random_valid():
-    cfg = SolverConfig()
-    for seed in range(15):
-        g = random_graph(16, 0.25, 40 + seed)
-        comp = max(g.components(), key=len)
-        sub, _ = g.induced(comp)
-        p, q = kappa_partition(sub)
-        td_q = heuristic_decomposition(q.graph)
-        lifted = lift(td_q, p)
-        assert validate(sub, lifted)
-
-
-def test_weighted_width_unit():
-    g = random_graph(8, 0.4, 1)
-    td = heuristic_decomposition(g)
-    assert weighted_width(td, [1.0] * 8) == td.width + 1
-
-
-def test_weighted_width_zero():
-    g = random_graph(8, 0.4, 1)
-    td = heuristic_decomposition(g)
-    assert weighted_width(td, [0.0] * 8) == 0.0
-
-
-def test_weighted_width_matches_brute_force():
-    rng = random.Random(3)
-    g = random_graph(10, 0.4, 3)
-    td = heuristic_decomposition(g)
-    w = [rng.uniform(0, 5) for _ in range(10)]
-    assert weighted_width(td, w) == max(sum(w[v] for v in bag) for bag in td.bags)
-
-
-def test_text_round_trip():
-    g = random_graph(12, 0.3, 8)
-    td = heuristic_decomposition(g)
-    text = decomposition_to_text(td, 12)
-    again, n = decomposition_from_text(text)
-    assert n == 12
-    assert again.bags == td.bags and sorted(again.tree_edges) == sorted(td.tree_edges)
