@@ -9,11 +9,12 @@ One engine serves three problems:
 A state at a bag records, per bag vertex: excluded (longpath only) or its
 current degree 0/1/2 in the partial solution, a pairing of the degree-1
 vertices into open path segments (partner index in the bag, or FINAL for an
-endpoint already forgotten and committed as an end of the final path), the
-number of committed final ends, and a done flag set once the single final
-cycle/path has closed.  Each state keeps one representative edge list for
-certificate reconstruction; in longpath mode the representative with the
-largest total weight wins.
+endpoint already forgotten and committed as an end of the final path), and a
+done flag set once the single final cycle/path has closed.  The number of
+committed final ends is the number of FINAL markers; there are at most two.
+Each state keeps one representative edge list for certificate
+reconstruction; in longpath mode the representative with the largest total
+weight wins.
 
 The tree is rooted at node 0 and solved children first.  Every vertex is
 forgotten at its top node, the node nearest the root whose bag holds it,
@@ -27,7 +28,8 @@ the bag the two share (moving it up only introduces vertices), and the
 root's table ends on the empty bag.  A leaf introduces its bag into the
 empty state.  A join pairs child states of equal inclusion pattern, at most
 one of them done and with at most two final ends between them, and
-_merge_states combines their segment systems.
+_merge_states finds the merged segments by walking along partners,
+switching between the two children's pairings at each bag vertex.
 
 Deterministic: bags, vertices and edges are always scanned in sorted order
 and ties keep the first representative.
@@ -46,9 +48,10 @@ FINAL = -2
 NO_PARTNER = -1
 EXCLUDED = -3  # status value; degrees are 0,1,2
 
-# state: (statuses, match, m, done)
+# state: (statuses, match, done)
 #   statuses: tuple over sorted bag vertices, EXCLUDED or degree
 #   match:    tuple, NO_PARTNER unless degree 1; else partner index or FINAL
+#   done:     the one cycle/path has closed; match is then all NO_PARTNER
 
 
 def _root_order(td: TreeDecomposition) -> tuple[list[int], list[int], list[list[int]]]:
@@ -152,7 +155,7 @@ def solve_dp(
         kids = children[node]
         if not kids:
             table = _Table()
-            table.add(((), (), 0, False), 0, [])
+            table.add(((), (), False), 0, [])
             table = _transform(table, (), bag, w, optional)
         else:
             parts = [_transform(*tables.pop(c), bag, w, optional) for c in kids]
@@ -166,18 +169,19 @@ def solve_dp(
             bag = tuple(x for x in bag if x != v)
         tables[node] = (table, bag)
 
-    table, _ = tables.pop(postorder[-1])  # every root-bag vertex is forgotten
-    best: Optional[list[tuple[int, int]]] = None
-    best_w = -1
-    for (statuses, match, m, done), (weight, edges) in table.items():
-        if not done:
-            continue
-        if mode == "cycle" or (mode == "path" and m == 2):
-            return edges
-        if mode == "longpath" and m == 2 and weight >= target and weight > best_w:
-            best_w = weight
-            best = edges
-    return best
+    # every root-bag vertex is forgotten, so the root's table is on the empty
+    # bag and holds at most one done state
+    table, _ = tables.pop(postorder[-1])
+    found = table.data.get(((), (), True))
+    if found is None or (mode == "longpath" and found[0] < target):
+        return None
+    return found[1]
+
+
+def _no_other_segment(match: tuple, ends: int) -> bool:
+    """Whether exactly `ends` bag vertices end an open segment: a structure
+    closing at that many open ends leaves no other segment behind."""
+    return len(match) - match.count(NO_PARTNER) == ends
 
 
 def _transform(table: _Table, from_bag: tuple, to_bag: tuple, w, optional) -> _Table:
@@ -195,122 +199,72 @@ def _introduce(table: _Table, bag: tuple, v: int, w, optional) -> _Table:
     while pos < len(bag) and bag[pos] < v:
         pos += 1
     out = _Table()
-    for (statuses, match, m, done), (weight, edges) in table.items():
-        new_match = tuple(
-            p if p in (NO_PARTNER, FINAL) or p < pos else p + 1 for p in match
-        )
+    for (statuses, match, done), (weight, edges) in table.items():
+        # partner indices at or after pos shift; the markers are negative
+        new_match = tuple(p + 1 if p >= pos else p for p in match)
         st_inc = statuses[:pos] + (0,) + statuses[pos:]
         mt = new_match[:pos] + (NO_PARTNER,) + new_match[pos:]
-        out.add((st_inc, mt, m, done), weight + w[v], edges)
+        out.add((st_inc, mt, done), weight + w[v], edges)
         if optional:
             st_exc = statuses[:pos] + (EXCLUDED,) + statuses[pos:]
-            out.add((st_exc, mt, m, done), weight, edges)
+            out.add((st_exc, mt, done), weight, edges)
     return out
 
 
 def _forget(table: _Table, bag: tuple, v: int, mode: str) -> _Table:
     pos = bag.index(v)
     out = _Table()
-    for (statuses, match, m, done), (weight, edges) in table.items():
+    for (statuses, match, done), (weight, edges) in table.items():
         st = statuses[pos]
-        if st == EXCLUDED or st == 2:
-            pass  # fine: drop silently
-        elif st == 0:
+        if st == 0:
             continue  # isolated included vertex: never part of a witness
-        else:  # degree 1: this vertex becomes a final end of the path
-            if mode == "cycle" or m >= 2 or done:
+        if st == 1:  # v becomes a final end of the path
+            if mode == "cycle" or match.count(FINAL) >= 2:
                 continue
-            partner = match[pos]
-            if partner == FINAL:
-                # component closes; it must be the only open segment left
-                if any(
-                    p != NO_PARTNER for i, p in enumerate(match) if i != pos
-                ):
+            if match[pos] == FINAL:
+                # so is its far end: the path closes, and must be all there is
+                if not _no_other_segment(match, 1):
                     continue
-                new_m, new_done = m + 1, True
-            else:
-                new_m, new_done = m + 1, done
-
-        # rebuild tuples without position pos
-        new_statuses = statuses[:pos] + statuses[pos + 1 :]
-        new_match = list(match[:pos] + match[pos + 1 :])
-        if st == 1 and match[pos] not in (FINAL, NO_PARTNER):
-            q = match[pos]
-            qq = q if q < pos else q - 1
-            new_match[qq] = FINAL
-        for i, p in enumerate(new_match):
-            if p not in (NO_PARTNER, FINAL) and p > pos:
-                new_match[i] = p - 1
-        if st == 1:
-            out.add((new_statuses, tuple(new_match), new_m, new_done), weight, edges)
-        else:
-            out.add((new_statuses, tuple(new_match), m, done), weight, edges)
+                done = True
+        # v's partner, if in the bag, becomes a final end; later indices shift
+        new_match = tuple(
+            FINAL if p == pos else p - 1 if p > pos else p
+            for i, p in enumerate(match)
+            if i != pos
+        )
+        out.add((statuses[:pos] + statuses[pos + 1 :], new_match, done), weight, edges)
     return out
 
 
 def _edge(table: _Table, bag: tuple, u: int, v: int, mode: str) -> _Table:
     iu, iv = bag.index(u), bag.index(v)
     out = _Table()
-    for (statuses, match, m, done), (weight, edges) in table.items():
-        out.add((statuses, match, m, done), weight, edges)  # skip the edge
-        if done:
-            continue
+    for state, (weight, edges) in table.items():
+        out.add(state, weight, edges)  # skip the edge
+        statuses, match, done = state
         su, sv = statuses[iu], statuses[iv]
-        if su in (EXCLUDED, 2) or sv in (EXCLUDED, 2):
+        if done or su in (EXCLUDED, 2) or sv in (EXCLUDED, 2):
+            continue
+        # the far ends of the two segments the edge joins; a vertex of
+        # degree 0 is a segment of its own
+        a = iu if su == 0 else match[iu]
+        b = iv if sv == 0 else match[iv]
+        closes = a == iv or a == b == FINAL  # a cycle, or the final path
+        if closes and (
+            (a == iv) != (mode == "cycle") or not _no_other_segment(match, 2)
+        ):
             continue
         new_st = list(statuses)
-        new_mt = list(match)
         new_st[iu] = su + 1
         new_st[iv] = sv + 1
-        new_m, new_done = m, done
-        if su == 0 and sv == 0:
-            new_mt[iu] = iv
-            new_mt[iv] = iu
-        elif su == 0 or sv == 0:
-            a, b = (iu, iv) if su == 0 else (iv, iu)  # a had degree 0
-            p = match[b]
-            new_mt[b] = NO_PARTNER
-            new_mt[a] = p
-            if p not in (NO_PARTNER, FINAL):
-                new_mt[p] = a
-        else:  # both degree 1: merge two segment ends
-            pu, pv = match[iu], match[iv]
-            if pu == iv:  # closing the segment into a cycle
-                if mode != "cycle":
-                    continue
-                if any(
-                    p != NO_PARTNER for i, p in enumerate(match) if i not in (iu, iv)
-                ):
-                    continue
-                new_mt[iu] = NO_PARTNER
-                new_mt[iv] = NO_PARTNER
-                new_done = True
-            elif pu == FINAL and pv == FINAL:
-                # both far ends already committed: the final path closes
-                if mode == "cycle" or m != 2:
-                    continue
-                if any(
-                    p != NO_PARTNER for i, p in enumerate(match) if i not in (iu, iv)
-                ):
-                    continue
-                new_mt[iu] = NO_PARTNER
-                new_mt[iv] = NO_PARTNER
-                new_done = True
-            else:
-                new_mt[iu] = NO_PARTNER
-                new_mt[iv] = NO_PARTNER
-                a, b = pu, pv  # far ends of the merged segment
-                if a == FINAL:
-                    a, b = b, a
-                # now a is an index; b may be FINAL or an index
+        new_mt = list(match)
+        new_mt[iu] = new_mt[iv] = NO_PARTNER
+        if not closes:
+            if a != FINAL:
                 new_mt[a] = b
-                if b != FINAL:
-                    new_mt[b] = a
-        out.add(
-            (tuple(new_st), tuple(new_mt), new_m, new_done),
-            weight,
-            edges + [(u, v)],
-        )
+            if b != FINAL:
+                new_mt[b] = a
+        out.add((tuple(new_st), tuple(new_mt), closes), weight, edges + [(u, v)])
     return out
 
 
@@ -319,11 +273,11 @@ def _join(t1: _Table, t2: _Table, bag: tuple, w, mode: str) -> _Table:
     # merges require identical inclusion on the shared bag, so bucket one
     # side by exclusion pattern instead of a full cross product
     buckets: dict = {}
-    for key2, val2 in t2.items():
-        excl = tuple(s == EXCLUDED for s in key2[0])
-        buckets.setdefault(excl, []).append((key2, val2))
+    for (st2, mt2, d2), val2 in t2.items():
+        excl = tuple(s == EXCLUDED for s in st2)
+        buckets.setdefault(excl, []).append((st2, mt2, d2, mt2.count(FINAL), val2))
     dup_cache: dict = {}
-    for (st1, mt1, m1, d1), (w1, e1) in t1.items():
+    for (st1, mt1, d1), (w1, e1) in t1.items():
         excl = tuple(s == EXCLUDED for s in st1)
         group = buckets.get(excl)
         if not group:
@@ -332,142 +286,69 @@ def _join(t1: _Table, t2: _Table, bag: tuple, w, mode: str) -> _Table:
         if dup is None:
             dup = sum(w[bag[i]] for i, s in enumerate(st1) if s != EXCLUDED)
             dup_cache[excl] = dup
-        for (st2, mt2, m2, d2), (w2, e2) in group:
-            if (d1 and d2) or m1 + m2 > 2:
+        f1 = mt1.count(FINAL)
+        for st2, mt2, d2, f2, (w2, e2) in group:
+            if (d1 and d2) or f1 + f2 > 2:
                 continue
-            merged = _merge_states(st1, mt1, m1, d1, st2, mt2, m2, d2, mode)
-            if merged is None:
-                continue
-            st, mt, m, done = merged
-            out.add((st, mt, m, done), w1 + w2 - dup, e1 + e2)
+            merged = _merge_states(st1, mt1, d1, st2, mt2, d2, mode)
+            if merged is not None:
+                out.add(merged, w1 + w2 - dup, e1 + e2)
     return out
 
 
-def _merge_states(st1, mt1, m1, d1, st2, mt2, m2, d2, mode):
-    """Combine two child states on one bag, or None if they conflict; the
-    caller has already dropped pairs that are both done or have m1 + m2 > 2."""
-    k = len(st1)
-    st = []
-    for s1, s2 in zip(st1, st2):
-        if (s1 == EXCLUDED) != (s2 == EXCLUDED):
-            return None
-        if s1 == EXCLUDED:
-            st.append(EXCLUDED)
-        else:
-            if s1 + s2 > 2:
-                return None
-            st.append(s1 + s2)
-    if d1 or d2:
-        # a closed witness tolerates no additional structure on the other side
-        other_m, other_mt, other_st = (m2, mt2, st2) if d1 else (m1, mt1, st1)
-        if other_m > 0 or any(p != NO_PARTNER for p in other_mt):
-            return None
-        if any(s not in (EXCLUDED, 0) for s in other_st):
-            return None
-        return tuple(st), tuple(NO_PARTNER for _ in range(k)), (m1 + m2), True
+def _far_end(sides: tuple, i: int, side: int, seen: list) -> int:
+    """Follow partners from bag index i, leaving by sides[side] and switching
+    sides at each index reached, marking those indices seen.  Return the far
+    end: FINAL, i itself when the walk closes a cycle, or the first index
+    that the next side leaves unmatched."""
+    j = i
+    while True:
+        j = sides[side][j]
+        if j == FINAL or j == i:
+            return j
+        seen[j] = True
+        side ^= 1
+        if sides[side][j] == NO_PARTNER:
+            return j
 
-    # fast path: one side carries no open segments at all, so the other
-    # side's matching survives unchanged
-    if m2 == 0 and all(p == NO_PARTNER for p in mt2):
-        return tuple(st), mt1, m1, False
-    if m1 == 0 and all(p == NO_PARTNER for p in mt1):
-        return tuple(st), mt2, m2, False
 
-    # Merge the two segment systems.  Build a multigraph whose nodes are bag
-    # indices plus one fresh token per FINAL marker, and whose edges are the
-    # matched pairs of either side; its components are the merged segments.
-    nodes: list = list(range(k))
-    adj: dict = {i: [] for i in range(k)}
-    final_tokens: list = []
-    eid = 0
-    edges_at: dict = {}
-    for mt in (mt1, mt2):
-        seen_pairs = set()
-        for i, p in enumerate(mt):
-            if p == NO_PARTNER:
-                continue
-            if p == FINAL:
-                tok = ("F", len(final_tokens))
-                final_tokens.append(tok)
-                adj.setdefault(tok, []).append((i, eid))
-                adj[i].append((tok, eid))
-                eid += 1
-            else:
-                if (min(i, p), max(i, p)) in seen_pairs:
-                    continue
-                seen_pairs.add((min(i, p), max(i, p)))
-                adj[i].append((p, eid))
-                adj[p].append((i, eid))
-                eid += 1
+def _merge_states(st1, mt1, d1, st2, mt2, d2, mode):
+    """Combine two child states of one inclusion pattern, not both done, or
+    None if they conflict.
 
-    new_mt = [NO_PARTNER] * k
-    m = m1 + m2
-    done = False
-    closed_components = 0
-    seen_nodes: set = set()
-    for start in list(range(k)) + final_tokens:
-        if start in seen_nodes or not adj.get(start):
-            continue
-        # collect the component
-        comp = [start]
-        seen_nodes.add(start)
-        stack = [start]
-        comp_edges = set()
-        while stack:
-            u = stack.pop()
-            for v, e in adj[u]:
-                comp_edges.add(e)
-                if v not in seen_nodes:
-                    seen_nodes.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        deg = {u: len(adj[u]) for u in comp}
-        ends = [u for u in comp if deg[u] == 1]
-        if any(deg[u] > 2 for u in comp):
-            return None  # a bag vertex would need degree > 2
-        if not ends:
-            # closed loop of segments: a finished cycle
-            if mode != "cycle":
-                return None
-            closed_components += 1
-            done = True
-            continue
-        if len(ends) != 2:
-            return None
-        a, b = ends
-        a_final = isinstance(a, tuple)
-        b_final = isinstance(b, tuple)
-        if a_final and b_final:
-            # both ends previously committed: the final path just closed
-            if mode == "cycle":
-                return None
-            closed_components += 1
-            done = True
-            continue
-        if a_final or b_final:
-            i = b if a_final else a
-            if st[i] != 1:
-                return None
-            new_mt[i] = FINAL
-        else:
-            if st[a] != 1 or st[b] != 1:
-                return None
-            new_mt[a] = b
-            new_mt[b] = a
-
-    if closed_components > 1:
+    An index of merged degree 1 is matched on one side only and ends a
+    merged segment; an index matched on both sides is interior.  So walks
+    from the degree-1 indices find the open segments, and an interior index
+    that none of them reaches lies on a closed structure: a cycle, or a path
+    between two final ends.
+    """
+    st = tuple(s1 if s1 == EXCLUDED else s1 + s2 for s1, s2 in zip(st1, st2))
+    if any(s > 2 for s in st):
         return None
-    if done:
-        # the closed witness must be the only structure
-        if any(p != NO_PARTNER for p in new_mt):
+    if d1 or d2:
+        # a closed witness tolerates no other structure on either side
+        if _no_other_segment(mt1, 0) and _no_other_segment(mt2, 0):
+            return st, mt1, True
+        return None
+    sides = (mt1, mt2)
+    match = [NO_PARTNER] * len(st)
+    seen = [False] * len(st)
+    for i, s in enumerate(st):
+        if s == 1 and not seen[i]:
+            seen[i] = True
+            j = _far_end(sides, i, 0 if mt1[i] != NO_PARTNER else 1, seen)
+            match[i] = j
+            if j != FINAL:
+                match[j] = i
+    done = False
+    for i in range(len(st)):
+        if seen[i] or mt1[i] == NO_PARTNER or mt2[i] == NO_PARTNER:
+            continue
+        # a closed structure: it must be the only structure left
+        if done or not _no_other_segment(match, 0):
             return None
-        if mode == "cycle" and m > 0:
+        seen[i] = done = True
+        if (_far_end(sides, i, 0, seen) == i) != (mode == "cycle"):
             return None
-        if mode != "cycle" and m != 2:
-            return None
-    # consistency: every bag index with merged degree 1 must be matched
-    for i in range(k):
-        if st[i] == 1 and new_mt[i] == NO_PARTNER and not done:
-            # degree 1 arises from one side only; it must carry a matching
-            return None
-    return tuple(st), tuple(new_mt), m, done
+        _far_end(sides, i, 1, seen)  # marks the rest of a path's indices
+    return st, tuple(match), done

@@ -193,9 +193,7 @@ def compress(
     )
 
 
-def _edges_to_sequence(
-    n: int, edges: list[tuple[int, int]], kind: str
-) -> Optional[list[int]]:
+def _edges_to_sequence(edges: list[tuple[int, int]], kind: str) -> Optional[list[int]]:
     """Turn a chosen edge set into a cycle or path vertex sequence."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
@@ -247,7 +245,15 @@ def _dfs_ham(
     target = n if k is None else k
     masks = h.adjacency_masks()
     full = (1 << n) - 1
-    starts = [0] if kind == "cycle" else sorted(range(n), key=lambda v: -w[v])
+    pendants = [v for v in range(n) if h.degree(v) == 1]
+    if kind == "cycle":
+        starts = [0]
+    elif weights is None and k is None and pendants:
+        # a Hamiltonian path ends at every degree-1 vertex, so one reversed
+        # starts at the smallest
+        starts = pendants[:1]
+    else:
+        starts = sorted(range(n), key=lambda v: -w[v])
     for s in starts:
         stack: list[tuple[int, int, int, tuple[int, ...]]] = [(s, 1 << s, w[s], (s,))]
         while stack:
@@ -294,7 +300,7 @@ def hamiltonian_cycle_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificat
     edges = solve_dp(h, td, "cycle")
     if edges is None:
         return None
-    seq = _edges_to_sequence(h.n, edges, "cycle")
+    seq = _edges_to_sequence(edges, "cycle")
     return checked(h, "cycle", seq, hamiltonian=True)
 
 
@@ -304,7 +310,7 @@ def hamiltonian_path_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificate
     edges = solve_dp(h, td, "path")
     if edges is None:
         return None
-    seq = _edges_to_sequence(h.n, edges, "path")
+    seq = _edges_to_sequence(edges, "path")
     return checked(h, "path", seq, hamiltonian=True)
 
 

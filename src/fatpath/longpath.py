@@ -254,7 +254,7 @@ def weighted_longpath_dp(
     edges = solve_dp(h, td, "longpath", weights=list(weights), target=k)
     if edges is None:
         return None
-    seq = _edges_to_sequence(h.n, edges, "path")
+    seq = _edges_to_sequence(edges, "path")
     return checked(h, "path", seq, weights=weights, target=k)
 
 

@@ -3,7 +3,9 @@
 Each G(n,p) graph is solved under three decompositions: min-fill, one bag
 holding every vertex, and the min-fill bags re-indexed so that node 0, the
 root, is a leaf.  Between them they give edges whose endpoints leave the
-table at different nodes, at the same node, and below join nodes.
+table at different nodes, at the same node, and below join nodes.  A few
+hand-built decompositions make the witness close at a join node, which the
+G(n,p) cases rarely do.
 """
 
 import random
@@ -12,7 +14,7 @@ import pytest
 
 from test_search import max_path_weight, random_graph
 
-from fatpath import hamilton
+from fatpath import dp, hamilton
 from fatpath.certificates import Certificate
 from fatpath.dp import solve_dp
 from fatpath.graphs import Graph
@@ -49,7 +51,7 @@ def decompositions(g):
 
 
 def sequence(g, edges, kind):
-    seq = hamilton._edges_to_sequence(g.n, edges, kind)
+    seq = hamilton._edges_to_sequence(edges, kind)
     assert seq is not None
     return Certificate(kind, tuple(seq))
 
@@ -64,6 +66,51 @@ def test_hamiltonian_modes_match_held_karp():
                 if edges is not None:
                     cert = sequence(g, edges, kind)
                     assert cert.validate(g, hamiltonian=True), (seed, kind, i)
+
+
+def star(root, *children):
+    """A decomposition of a root bag with one child bag per argument."""
+    bags = tuple(frozenset(b) for b in (root,) + children)
+    return TreeDecomposition(bags, tuple((0, i) for i in range(1, len(bags))))
+
+
+JOIN_CLOSURES = [
+    # C6: each child builds a 0-3 segment, and the join closes the cycle
+    (Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
+     star({0, 3}, {0, 1, 2, 3}, {0, 3, 4, 5}), "cycle"),
+    # the path 1-0-4-5-3-2: one child forgets both of its ends, the other
+    # builds its middle, and the join closes it between the two final ends
+    (Graph(6, [(0, 1), (0, 4), (4, 5), (3, 5), (2, 3)]),
+     star({0, 3}, {0, 1, 2, 3}, {0, 3, 4, 5}), "path"),
+    # the 4-cycles 0-4-1-6 and 2-5-3-7 both close at the join, which must
+    # not take two closed structures; the edge 1-2 above it makes a path
+    (Graph(8, [(0, 4), (1, 4), (0, 6), (1, 6), (2, 5), (3, 5), (2, 7), (3, 7), (1, 2)]),
+     star({0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 6, 7}), None),
+]
+
+
+def test_witness_closing_at_a_join_matches_held_karp(monkeypatch):
+    closed_at_join = []
+    merge = dp._merge_states
+
+    def recording(st1, mt1, d1, st2, mt2, d2, mode):
+        merged = merge(st1, mt1, d1, st2, mt2, d2, mode)
+        if merged is not None and merged[2] and not (d1 or d2):
+            closed_at_join.append(mode)
+        return merged
+
+    monkeypatch.setattr(dp, "_merge_states", recording)
+    for case, (g, td, closes_in) in enumerate(JOIN_CLOSURES):
+        assert validate(g, td)
+        for kind, oracle in (("cycle", held_karp_cycle), ("path", held_karp_path)):
+            closed_at_join.clear()
+            edges = solve_dp(g, td, kind)
+            assert (edges is not None) == (oracle(g) is not None), (case, kind)
+            if edges is not None:
+                cert = sequence(g, edges, kind)
+                assert cert.validate(g, hamiltonian=True), (case, kind)
+            if kind == closes_in:
+                assert closed_at_join, (case, kind)
 
 
 def test_longpath_mode_matches_enumeration():

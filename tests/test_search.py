@@ -75,3 +75,18 @@ def test_weighted_search_matches_enumeration():
             if cert is not None:
                 assert cert.validate(g), (seed, k)
                 assert sum(weights[v] for v in cert.vertices) >= k, (seed, k)
+
+
+def test_hamiltonian_path_search_starts_at_a_pendant():
+    # C4 with vertex 4 hanging off vertex 3: every Hamiltonian path ends at 4
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    cert = hamilton._dfs_ham(g, "path")
+    assert cert is not None and cert.vertices[0] == 4
+    # dense G(m, 0.6) with two pendants: a search that starts elsewhere
+    # exhausts every other start first and runs for seconds
+    for m in range(14, 20):
+        a, b = random.Random(m).sample(range(m), 2)
+        g = Graph(m + 2, list(random_graph(m, 0.6, m).edges()) + [(a, m), (b, m + 1)])
+        cert = hamilton._dfs_ham(g, "path")
+        assert cert is not None and cert.validate(g, hamiltonian=True), m
+        assert cert.vertices[0] == m, m
