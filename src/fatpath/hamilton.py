@@ -4,16 +4,17 @@ Pipeline: pick bounded cross-edge sets (blue edges), then contract G along
 the partition (compress): every part that is not raw keeps its
 blue-incident vertices plus one contracted vertex standing for the rest and
 becomes a clique (the red edges of red_closure, added inline); raw parts
-stay whole with their own edges.  H is rejected outright when its degrees
-rule out a cycle or path (_degree_rejects), and otherwise solved by
-treewidth DP, or by the exhaustive search _dfs_ham when it is small and its
-decomposition wide; reconstruct puts each contracted vertex's set back where
-it sits in the witness before the lift.
+stay whole with their own edges.  H is decided exactly by run_exact, in
+this order: a degree rejection (_degree_rejects), the exhaustive search
+_dfs_ham under a budget of SEARCH_NODES popped nodes, and, only when that
+budget runs out, the treewidth DP, or the unbudgeted search when H is small
+and its decomposition wide.  reconstruct puts each contracted vertex's set
+back where it sits in the witness before the lift.
 
 The long path solver shares the contraction, the expansion and the search:
 it calls compress as build_weighted with its own selection (longpath.mark),
 reconstruct as _expand, and _dfs_ham, which with vertex weights and a target
-k finds its weighted paths, as _dfs_longpath.
+k finds its weighted paths, as _dfs_longpath, under the same budget.
 
 This module also holds the lift both solvers share: _lift splits the
 witness into same-part runs, replaces the runs inside linked parts by exact
@@ -27,6 +28,7 @@ asserting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
@@ -50,6 +52,7 @@ __all__ = [
     "BlueSelection",
     "Contraction",
     "FallbackRequired",
+    "SearchBudgetExceeded",
     "red_closure",
     "select_blue_edges",
     "compress",
@@ -59,6 +62,15 @@ __all__ = [
     "solve_hamiltonian_cycle",
     "solve_hamiltonian_path",
 ]
+
+
+# popped nodes the search may spend, over all its starts, before an exact
+# call goes on to the DP; a count, not a clock, so reruns are identical
+SEARCH_NODES = 5000
+
+
+class SearchBudgetExceeded(Exception):
+    """The budgeted search stopped undecided: neither a witness nor a "no"."""
 
 
 def red_closure(g: Graph, p: Partition) -> frozenset[tuple[int, int]]:
@@ -233,16 +245,22 @@ def _dfs_ham(
     kind: str = "path",
     weights: Optional[Sequence[int]] = None,
     k: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> Optional[Certificate]:
     """Pruned exhaustive search for a cycle through vertex 0, or a path, of
     total vertex weight >= k; weights default to 1 and k to h.n, which asks
-    for a Hamiltonian cycle or path.  The escape hatch for small graphs whose
+    for a Hamiltonian cycle or path.  The first exact step of both solvers:
+    with a budget, it raises SearchBudgetExceeded once it has popped more
+    than budget nodes over all its starts, and the caller goes on to the
+    DP.  Without one it runs to the end, as for small graphs whose
     decompositions are too wide for the bag DP to pay off."""
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
     w = [1] * n if weights is None else weights
     target = n if k is None else k
+    limit = math.inf if budget is None else budget
+    popped = 0
     masks = h.adjacency_masks()
     full = (1 << n) - 1
     pendants = [v for v in range(n) if h.degree(v) == 1]
@@ -258,6 +276,9 @@ def _dfs_ham(
         stack: list[tuple[int, int, int, tuple[int, ...]]] = [(s, 1 << s, w[s], (s,))]
         while stack:
             v, used, got, seq = stack.pop()
+            popped += 1
+            if popped > limit:
+                raise SearchBudgetExceeded(budget)
             if got >= target:
                 if kind == "path" or masks[v] >> s & 1:
                     # with unit weights and k = n this is a Hamiltonian check
@@ -441,24 +462,27 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
         return None
     if kind == "path" and g.n == 1:
         return Certificate("path", (0,))
-    if g.n <= 3:
-        td = heuristic_decomposition(g)
-        dp = hamiltonian_cycle_dp if kind == "cycle" else hamiltonian_path_dp
-        return dp(g, td)
-
-    p0, _ = kappa_partition(g)
-    p, q = refine_to_linked(g, p0, cfg)
     dp = hamiltonian_cycle_dp if kind == "cycle" else hamiltonian_path_dp
 
     def run_exact(h: Graph) -> Optional[Certificate]:
         if _degree_rejects(h, kind):
             return None
+        try:
+            return _dfs_ham(h, kind, budget=SEARCH_NODES)
+        except SearchBudgetExceeded:
+            pass
         td = heuristic_decomposition(h)
         if td.width > 7 and h.n <= 24:
             # bag DP pays off only below this width; small dense graphs go
-            # to pruned search instead
+            # to the search without a budget instead
             return _dfs_ham(h, kind)
         return dp(h, td)
+
+    if g.n <= 3:
+        return run_exact(g)
+
+    p0, _ = kappa_partition(g)
+    p, q = refine_to_linked(g, p0, cfg)
 
     if len(p.parts) == 1:
         if p.kinds[0] == CLIQUE:

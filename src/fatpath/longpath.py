@@ -6,10 +6,15 @@ that is not raw to those vertices plus one contracted vertex carrying the
 count of the rest as weight.  Parts of kind RAW, and parts the fallback loop
 made raw, stay whole.  A contracted vertex has no cross edges, so a path of
 total weight >= k in the contraction matches a k-vertex path in the input.
-When its decomposition is at most DP_WIDTH_CAP wide, or it has at most 24
-vertices, it is decided exactly: by the bag DP, or, for small wide graphs,
-by the exhaustive search shared with the Hamiltonian solvers
-(hamilton._dfs_ham, called here as _dfs_longpath).  Otherwise randomized
+
+The route, cheapest first: k <= 3 is answered directly; no component of
+the input with k vertices is an exact "no"; then the exhaustive search
+shared with the Hamiltonian solvers (hamilton._dfs_ham, called here as
+_dfs_longpath) decides the contraction under the budget of
+hamilton.SEARCH_NODES popped nodes.  Only when that budget runs out does
+the contraction go on: when its decomposition is at most DP_WIDTH_CAP
+wide, or it has at most 24 vertices, it is decided exactly by the bag DP,
+or, for small wide graphs, by the unbudgeted search.  Otherwise randomized
 ball-carving covers of the twin-completed contraction (_twin_complete)
 select low-treewidth induced subgraphs across repetitions; YES answers are
 certified, NO answers are one-sided.
@@ -29,10 +34,16 @@ from typing import Optional
 
 import numpy as np
 
+from . import hamilton
 from .certificates import Certificate, checked
 from .dp import solve_dp
 from .graphs import Graph, bfs_ball
-from .hamilton import Contraction, _edges_to_sequence, _fallback_loop
+from .hamilton import (
+    Contraction,
+    SearchBudgetExceeded,
+    _edges_to_sequence,
+    _fallback_loop,
+)
 # one contraction, one expansion and one exhaustive search for both solvers,
 # bound to names of this module so that perfbench/spans.py, which wraps
 # module globals, tells the long path calls from the Hamiltonian ones
@@ -287,6 +298,9 @@ def solve_long_path(
         return None
     if k <= 3:
         return _direct_small(g, k)
+    # a path lies inside one component
+    if max(map(len, g.components())) < k:
+        return None
 
     p0, _ = kappa_partition(g)
     p, _q = refine_to_linked(g, p0, cfg)
@@ -298,15 +312,20 @@ def solve_long_path(
 
     marking = mark(g, p, mark_strategy)
 
-    def attempt(raw: frozenset[int]) -> Optional[Certificate]:
-        wc = build_weighted(g, p, marking, raw)
-        # when the contraction is narrow enough, decide exactly
+    def decide(wc: Contraction) -> Optional[Certificate]:
+        """A path of weight >= k in wc.h, in H ids: by the budgeted search;
+        past its budget by the DP when the contraction is narrow enough, by
+        the cover route otherwise."""
+        try:
+            # a search that ends without a path is an exact "no", also where
+            # the cover route would have run
+            return _dfs_longpath(wc.h, weights=wc.weights, k=k,
+                                 budget=hamilton.SEARCH_NODES)
+        except SearchBudgetExceeded:
+            pass
         td_full = heuristic_decomposition(wc.h)
         if td_full.width <= DP_WIDTH_CAP or wc.h.n <= 24:
-            cert_h = weighted_longpath_dp(wc.h, list(wc.weights), td_full, k)
-            if cert_h is None:
-                return None
-            return _expand(g, p, wc, cert_h, hamiltonian=False)
+            return weighted_longpath_dp(wc.h, list(wc.weights), td_full, k)
 
         h_cross, order = _twin_complete(g, p, wc)
         for rep in range(schedule):
@@ -336,8 +355,14 @@ def solve_long_path(
                 cert_sub = weighted_longpath_dp(dg, w_sub, dtd, k)
                 if cert_sub is None:
                     continue
-                cert_h = Certificate("path", tuple(dl[v] for v in cert_sub.vertices))
-                return _expand(g, p, wc, cert_h, hamiltonian=False)
+                return Certificate("path", tuple(dl[v] for v in cert_sub.vertices))
         return None
+
+    def attempt(raw: frozenset[int]) -> Optional[Certificate]:
+        wc = build_weighted(g, p, marking, raw)
+        cert_h = decide(wc)
+        if cert_h is None:
+            return None
+        return _expand(g, p, wc, cert_h, hamiltonian=False)
 
     return _fallback_loop(attempt)

@@ -12,6 +12,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
+from fatpath import hamilton
 from fatpath.cli import main as cli_main
 from fatpath.geometry import empirical_growth, generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
@@ -50,7 +51,7 @@ def report(capsys, line):
         print("\n" + line)
 
 
-def test_hamiltonicity_matches_exhaustive_oracle(capsys):
+def check_hamiltonicity(capsys, route):
     # 250 random + 250 geometric instances, both cycle and path solvers
     mismatches = 0
     invalid = 0
@@ -74,14 +75,14 @@ def test_hamiltonicity_matches_exhaustive_oracle(capsys):
                     invalid += 1
             count += 1
     ok = mismatches == 0 and invalid == 0
-    report(capsys, f"[1/8] hamiltonicity oracle equivalence: "
+    report(capsys, f"[1/8] hamiltonicity oracle equivalence{route}: "
                    f"{'PASS' if ok else 'FAIL'} "
                    f"({count} instances, {mismatches} verdict mismatches, "
                    f"{invalid} invalid certificates)")
     assert ok
 
 
-def test_long_path_soundness_and_completeness(capsys):
+def check_long_path(capsys, route):
     unsound = 0
     missed = 0
     oracle_yes = 0
@@ -105,11 +106,33 @@ def test_long_path_soundness_and_completeness(capsys):
                     missed += 1
     completeness = 1.0 - missed / oracle_yes
     ok = unsound == 0 and completeness >= 0.99
-    report(capsys, f"[2/8] long-path soundness/completeness: "
+    report(capsys, f"[2/8] long-path soundness/completeness{route}: "
                    f"{'PASS' if ok else 'FAIL'} "
                    f"({count} instances, {unsound} unsound, completeness "
                    f"{completeness:.4f} over {oracle_yes} yes-cases)")
     assert ok
+
+
+# The search decides almost every exact call within its budget; a budget of
+# 0 sends each one on to the DP route, so the oracles check that too.
+
+
+def test_hamiltonicity_matches_exhaustive_oracle(capsys):
+    check_hamiltonicity(capsys, "")
+
+
+def test_hamiltonicity_matches_exhaustive_oracle_by_dp(capsys, monkeypatch):
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    check_hamiltonicity(capsys, " (search budget 0)")
+
+
+def test_long_path_soundness_and_completeness(capsys):
+    check_long_path(capsys, "")
+
+
+def test_long_path_soundness_and_completeness_by_dp(capsys, monkeypatch):
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    check_long_path(capsys, " (search budget 0)")
 
 
 def test_partition_structure(capsys):

@@ -84,6 +84,9 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     corrupt = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
     with monkeypatch.context() as m:
         m.setattr(hamilton, "solve_dp", lambda *args, **kwargs: corrupt)
+        # the search would decide C5 first; with no budget the DP's witness
+        # is used
+        m.setattr(hamilton, "SEARCH_NODES", 0)
         assert run(["ham", str(c5)]) == (3, "")
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -129,6 +129,8 @@ def test_corrupt_dp_witness_raises_certificate_error(monkeypatch):
     # a Hamiltonian cycle of K5 that uses non-edges of C5
     corrupt = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
     monkeypatch.setattr(hamilton, "solve_dp", lambda *args, **kwargs: corrupt)
+    # the search would decide C5 first; with no budget the DP's witness is used
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
     c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(CertificateError):
         hamilton.solve_hamiltonian_cycle(c5)
@@ -151,6 +153,7 @@ def test_certificate_check_survives_python_O():
         "from fatpath.certificates import CertificateError\n"
         "from fatpath.graphs import Graph\n"
         "hamilton.solve_dp = lambda *a, **k: [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]\n"
+        "hamilton.SEARCH_NODES = 0\n"
         "c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])\n"
         "try:\n"
         "    hamilton.solve_hamiltonian_cycle(c5)\n"

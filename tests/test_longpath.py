@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fatpath import longpath
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
 from fatpath.longpath import (
@@ -246,6 +247,21 @@ def test_solve_p20_full_recovery():
 
 def test_solve_too_large_k():
     assert solve_long_path(path(5), 6) is None
+
+
+def test_solve_rejects_without_a_k_vertex_component(monkeypatch):
+    # two disjoint P5s: no path has 6 vertices, and no component says so
+    # before any partition is built
+    g = Graph(10, [(i, i + 1) for i in (0, 1, 2, 3, 5, 6, 7, 8)])
+
+    def partition(*args, **kwargs):
+        raise AssertionError("the partition was built")
+
+    monkeypatch.setattr(longpath, "kappa_partition", partition)
+    assert solve_long_path(g, 6) is None
+    monkeypatch.undo()
+    cert = solve_long_path(g, 5)
+    assert cert is not None and cert.validate(g) and len(cert) == 5
 
 
 def test_solve_matches_oracle_small():

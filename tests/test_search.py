@@ -1,11 +1,16 @@
-"""The exhaustive search both solvers fall back on for small, wide graphs.
+"""The exhaustive search, the first exact step of both solvers.
 
 The Hamiltonian solvers call it as ``hamilton._dfs_ham`` and the long path
 solver as ``longpath._dfs_longpath``; both names are checked here on
-G(n,p) graphs against the oracles and against a path enumeration.
+G(n,p) graphs against the oracles and against a path enumeration, along
+with its node budget and the solvers' fallback to the DP when the budget
+runs out.
 """
 
+import itertools
 import random
+
+import pytest
 
 from fatpath import hamilton, longpath
 from fatpath.graphs import Graph
@@ -90,3 +95,59 @@ def test_hamiltonian_path_search_starts_at_a_pendant():
         cert = hamilton._dfs_ham(g, "path")
         assert cert is not None and cert.validate(g, hamiltonian=True), m
         assert cert.vertices[0] == m, m
+
+
+def test_budget_counts_popped_nodes():
+    # a search that is done at its first node needs a budget of one
+    single = Graph(1, [])
+    assert hamilton._dfs_ham(single, "path", budget=1).vertices == (0,)
+    with pytest.raises(hamilton.SearchBudgetExceeded):
+        hamilton._dfs_ham(single, "path", budget=0)
+    for seed, g in gnp_cases(30, 12, 9300):
+        weights = [random.Random(seed).randint(1, 3) for _ in range(g.n)]
+        calls = [dict(kind="cycle"), dict(kind="path"),
+                 dict(weights=weights, k=max_path_weight(g, weights))]
+        for call in calls:
+            full = hamilton._dfs_ham(g, **call)
+
+            def decided(budget):
+                try:
+                    hamilton._dfs_ham(g, budget=budget, **call)
+                except hamilton.SearchBudgetExceeded:
+                    return False
+                return True
+
+            need = next(b for b in itertools.count() if decided(b))
+            assert need >= 1, (seed, call)
+            with pytest.raises(hamilton.SearchBudgetExceeded):
+                hamilton._dfs_ham(g, budget=need - 1, **call)
+            for budget in (need, need + 100):
+                assert hamilton._dfs_ham(g, budget=budget, **call) == full, (seed, call)
+
+
+def test_solvers_fall_back_to_the_dp_past_the_budget(monkeypatch):
+    calls = []
+
+    def counted(solve_dp):
+        def wrapper(*args, **kwargs):
+            calls.append(args[2])
+            return solve_dp(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hamilton, "solve_dp", counted(hamilton.solve_dp))
+    monkeypatch.setattr(longpath, "solve_dp", counted(longpath.solve_dp))
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 1)
+    for seed, g in gnp_cases(30, 11, 9400):
+        for solve, oracle in ((hamilton.solve_hamiltonian_cycle, held_karp_cycle),
+                              (hamilton.solve_hamiltonian_path, held_karp_path)):
+            cert = solve(g)
+            assert (cert is None) == (oracle(g) is None), seed
+            if cert is not None:
+                assert cert.validate(g, hamiltonian=True), seed
+        best, _ = longest_path_exact(g)
+        for k in (best, best + 1):
+            cert = longpath.solve_long_path(g, k)
+            assert (cert is None) == (k > best), (seed, k)
+            if cert is not None:
+                assert cert.validate(g) and len(cert) >= k, (seed, k)
+    assert {"cycle", "path", "longpath"} <= set(calls)
