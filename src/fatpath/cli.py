@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdict, 2 input error,
 3 internal error (a solver step produced a certificate that does not
-validate, or its fallback loop did not converge; never a verdict).
+validate, its fallback loop did not converge, or any other exception;
+never a verdict).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from . import geometry
@@ -97,7 +99,7 @@ def cmd_graph(args) -> int:
 def cmd_partition(args) -> int:
     g = _load_graph(args)
     cfg = _config(args)
-    p0, _mis = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, q = refine_to_linked(g, p0, cfg)
     _write_text(args.output, partition_to_json(p))
     kinds = {}
@@ -239,6 +241,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except RuntimeError as exc:  # CertificateError included
         print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other crash is internal too, never a verdict
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

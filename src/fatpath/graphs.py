@@ -179,127 +179,96 @@ def greedy_mis(g: Graph, order: Optional[Iterable[int]] = None) -> frozenset[int
     return frozenset(taken)
 
 
-def _max_vertex_disjoint_paths(g: Graph, allowed: frozenset[int], s: int, t: int,
-                               cap: Optional[int] = None) -> tuple[int, set[int]]:
-    """Menger via unit-vertex-capacity max flow inside g[allowed].
+_INF = 1 << 30
 
-    Returns (flow value, minimum s-t vertex cut).  s,t must be nonadjacent.
-    Vertex splitting: v_in = 2v, v_out = 2v+1; internal arc capacity 1, with
-    s and t uncapacitated.  Augmenting paths found by BFS in ascending
-    neighbor order so the first minimum cut is deterministic.
+
+def _max_vertex_disjoint_paths(
+    succ: list[list[int]], base: dict[tuple[int, int], int], s: int, t: int, cap: int
+) -> tuple[int, list[int]]:
+    """Max flow from s_in to t_out on a copy of the split network's capacities,
+    with s and t uncapacitated; stops once the flow passes cap.
+
+    Returns (flow, cut); past cap the cut is empty.  Otherwise the cut holds
+    the nodes whose in-node the last, failed search reaches and whose
+    out-node it does not: the source-side minimum cut.
     """
-    # residual adjacency as dict-of-dicts over split nodes
-    cap_arc: dict[tuple[int, int], int] = {}
-    INF = 1 << 30
-
-    def add(u, v, c):
-        cap_arc[(u, v)] = cap_arc.get((u, v), 0) + c
-        cap_arc.setdefault((v, u), 0)
-
-    nodes = sorted(allowed)
-    for v in nodes:
-        add(2 * v, 2 * v + 1, INF if v in (s, t) else 1)
-        for w in sorted(g.neighbors(v)):
-            if w in allowed:
-                add(2 * v + 1, 2 * w, INF)
-
-    succ: dict[int, list[int]] = {}
-    for (u, v) in cap_arc:
-        succ.setdefault(u, []).append(v)
-    for u in succ:
-        succ[u].sort()
-
+    residual = dict(base)
+    residual[2 * s, 2 * s + 1] = residual[2 * t, 2 * t + 1] = _INF
     source, sink = 2 * s, 2 * t + 1
     flow = 0
-    limit = cap if cap is not None else INF
-    while flow <= limit:
-        parent: dict[int, int] = {source: source}
+    while True:
+        parent = {source: source}
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
-            for v in succ.get(u, ()):
-                if v not in parent and cap_arc[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
+            for w in succ[u]:
+                if w not in parent and residual[u, w] > 0:
+                    parent[w] = u
+                    queue.append(w)
         if sink not in parent:
-            break
-        v = sink
-        while v != source:
-            u = parent[v]
-            cap_arc[(u, v)] -= 1
-            cap_arc[(v, u)] += 1
-            v = u
+            half = len(succ) // 2
+            return flow, [i for i in range(half) if 2 * i in parent and 2 * i + 1 not in parent]
         flow += 1
-
-    if flow > limit:
-        return flow, set()
-    # min cut: vertices whose internal arc crosses the reachable frontier
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in succ.get(u, ()):
-            if v not in reach and cap_arc[(u, v)] > 0:
-                reach.add(v)
-                queue.append(v)
-    cut = {
-        v for v in nodes
-        if 2 * v in reach and 2 * v + 1 not in reach and v not in (s, t)
-    }
-    return flow, cut
+        if flow > cap:
+            return flow, []
+        w = sink
+        while w != source:
+            u = parent[w]
+            residual[u, w] -= 1
+            residual[w, u] += 1
+            w = u
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Minimum vertex-separator size; n-1 for complete graphs, 0 if disconnected."""
-    n = g.n
-    if n <= 1:
+    """Minimum vertex-separator size; n-1 for complete graphs, 0 if disconnected.
+
+    A connected graph that is not complete has a separator of at most n-2
+    vertices (all but a nonadjacent pair), so one scan finds the minimum.
+    """
+    if g.n <= 1 or not g.is_connected():
         return 0
-    if not g.is_connected():
-        return 0
-    allowed = frozenset(range(n))
-    best = n - 1
-    nonadj = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
-    ]
-    if not nonadj:
-        return n - 1  # complete-graph convention
-    for u, v in nonadj:
-        flow, _ = _max_vertex_disjoint_paths(g, allowed, u, v, cap=best - 1)
-        if flow < best:
-            best = flow
-    return best
+    sep = find_separator_leq(g, range(g.n), g.n - 2)
+    return g.n - 1 if sep is None else len(sep)
 
 
 def find_separator_leq(
-    g: Graph, induced_on: frozenset[int] | set[int], s: int
+    g: Graph, induced_on: Iterable[int], s: int
 ) -> Optional[frozenset[int]]:
     """A minimum vertex separator of g[induced_on], returned only if its size <= s.
 
-    Absent means g[induced_on] is (s+1)-connected or complete.  Deterministic:
-    the separator comes from the first minimum cut found scanning nonadjacent
-    pairs in ascending order.
+    Absent means g[induced_on] is (s+1)-connected or complete.  The scan
+    skips empty cuts, so g[induced_on] must be connected.  One scan
+    (Menger, by max flow): the split network, node i of the sorted vertices
+    as in-node 2i and out-node 2i+1 joined by a unit arc, is built once, and
+    each nonadjacent pair in ascending order runs a flow on a fresh copy of
+    its capacities, capped one below the best cut so far.  Deterministic: a
+    pair's cut is the source-side minimum cut, whose reach set is the same
+    for every maximum flow, so the pair order alone fixes the separator.
     """
     if s < 0:
         raise ValueError("separator budget must be >= 0")
-    allowed = frozenset(induced_on)
-    nodes = sorted(allowed)
-    if len(nodes) <= 1:
+    nodes = sorted(set(induced_on))
+    pairs = [(i, j) for i, u in enumerate(nodes) for j in range(i + 1, len(nodes))
+             if not g.has_edge(u, nodes[j])]
+    if not pairs:
         return None
-    best_size = None
-    best_cut = None
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            if g.has_edge(u, v):
-                continue
-            cap = s if best_size is None else best_size - 1
-            flow, cut = _max_vertex_disjoint_paths(g, allowed, u, v, cap=cap)
-            if flow <= cap and cut:
-                if best_size is None or flow < best_size:
-                    best_size = flow
-                    best_cut = cut
-    if best_cut is None:
-        return None
-    return frozenset(best_cut)
+    index = {v: i for i, v in enumerate(nodes)}
+    base: dict[tuple[int, int], int] = {}
+    for i, v in enumerate(nodes):
+        base[2 * i, 2 * i + 1], base[2 * i + 1, 2 * i] = 1, 0
+        for w in g.neighbors(v):
+            if w in index:
+                base[2 * i + 1, 2 * index[w]], base[2 * index[w], 2 * i + 1] = _INF, 0
+    succ: list[list[int]] = [[] for _ in range(2 * len(nodes))]
+    for u, w in sorted(base):
+        succ[u].append(w)
+    best: list[int] = []
+    for i, j in pairs:
+        cap = len(best) - 1 if best else s
+        _, cut = _max_vertex_disjoint_paths(succ, base, i, j, cap)
+        if cut:  # empty past cap, and for a pair in different components
+            best = cut
+    return frozenset(nodes[i] for i in best) if best else None
 
 
 def independence_number_exact(g: Graph) -> int:

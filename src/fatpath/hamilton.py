@@ -481,7 +481,7 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
     if g.n <= 3:
         return run_exact(g)
 
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, q = refine_to_linked(g, p0, cfg)
 
     if len(p.parts) == 1:

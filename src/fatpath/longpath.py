@@ -187,6 +187,8 @@ def pattern_cover(
     if the pool overflows its k^{1-1/d}*log2(k) cap."""
     if k < 4:
         raise ValueError("k must be >= 4")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     rng = np.random.default_rng(seed)
     p = min(1.0, k ** (-1.0 / d) * math.log2(k))
     big_r = math.ceil(c_r * k ** (1.0 / d))
@@ -302,7 +304,7 @@ def solve_long_path(
     if max(map(len, g.components())) < k:
         return None
 
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, _q = refine_to_linked(g, p0, cfg)
 
     exponent = cfg.c_rep * k ** (1.0 - 1.0 / cfg.d) * math.log2(k) ** 2

@@ -1,8 +1,13 @@
 """Vertex partitions into cliques and highly connected parts.
 
-The pipeline is: greedy partition around a maximal independent set, then
-refinement of each part by a separator tree whose leaves have no small
-separator, plus an exhaustive clique partition of the separator interiors.
+The pipeline is: greedy partition around a maximal independent set
+(kappa_partition), then refinement of each part (refine_to_linked) by a
+separator tree whose leaves have no small separator, plus an exhaustive
+clique partition of the separator interiors, or else their connected pieces.
+Every piece is tagged once: clique if it is one, otherwise linked (a leaf,
+certified (g_threshold+1)-connected by the separator scan of graphs.py) or
+raw (an interior piece).  The quotient graph on the parts is built by
+build_quotient, on demand.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ class Partition:
     parts: tuple[frozenset[int], ...]
     kinds: tuple[PartKind, ...]
     linked_connectivity: tuple[int, ...]  # 0 unless kind == LINKED
-    provenance: str = ""
 
     def check(self, g: Graph) -> bool:
         seen: set[int] = set()
@@ -140,13 +144,11 @@ class SolverConfig:
     d: int = 2
 
     def __post_init__(self):
-        if self.g_threshold < 1:
-            raise ValueError("require g_threshold >= 1")
+        if self.g_threshold < 1 or self.d < 1:
+            raise ValueError(f"require g_threshold, d >= 1 (got {self.g_threshold}, {self.d})")
 
 
-def kappa_partition(
-    g: Graph, order: Optional[list[int]] = None
-) -> tuple[Partition, QuotientGraph]:
+def kappa_partition(g: Graph, order: Optional[list[int]] = None) -> Partition:
     """One part per vertex of a greedy maximal independent set; every other
     vertex joins the part of its smallest-id taken neighbor."""
     if g.n == 0:
@@ -161,9 +163,7 @@ def kappa_partition(
         anchor = min(w for w in g.neighbors(v) if w in mis)
         groups[index[anchor]].add(v)
     parts = tuple(frozenset(grp) for grp in groups)
-    kinds = tuple(RAW for _ in parts)
-    p = Partition(parts, kinds, tuple(0 for _ in parts), provenance="kappa_partition")
-    return p, build_quotient(g, parts)
+    return Partition(parts, tuple(RAW for _ in parts), tuple(0 for _ in parts))
 
 
 @dataclass(frozen=True)
@@ -254,64 +254,34 @@ def refine_to_linked(
     g: Graph, p0: Partition, cfg: SolverConfig
 ) -> tuple[Partition, QuotientGraph]:
     """Split every part into separator-tree leaves plus a clique cover of the
-    separator interiors; tag each resulting part clique or linked."""
-    new_parts: list[frozenset[int]] = []
-    new_kinds: list[PartKind] = []
-    new_conn: list[int] = []
+    separator interiors.  Every piece that is a clique is tagged clique; the
+    others are linked (leaves) or raw (interior pieces)."""
+    parts: list[frozenset[int]] = []
+    kinds: list[PartKind] = []
 
-    def add_part(part: frozenset[int]) -> None:
-        if g.is_clique(part):
-            new_parts.append(part)
-            new_kinds.append(CLIQUE)
-            new_conn.append(0)
-        else:
-            new_parts.append(part)
-            new_kinds.append(LINKED)
-            new_conn.append(cfg.g_threshold + 1)
+    def add(piece: frozenset[int], kind: PartKind) -> None:
+        parts.append(piece)
+        kinds.append(CLIQUE if g.is_clique(piece) else kind)
 
     for part in p0.parts:
-        if g.is_clique(part):
-            new_parts.append(part)
-            new_kinds.append(CLIQUE)
-            new_conn.append(0)
+        if g.is_clique(part):  # a clique has no separator to look for
+            add(part, CLIQUE)
             continue
         tree = separator_tree(g, part, cfg.g_threshold)
         for leaf in tree.leaves():
-            add_part(leaf)
+            add(leaf, LINKED)
         interior = tree.interior_union()
-        if interior:
-            cover = None
-            if len(interior) <= 24:
-                cover = clique_partition_exact(g, interior, KAPPA)
-            if cover is None:
-                # fall back to connected pieces of the interior, kept raw or
-                # clique; correctness is restored downstream by the solvers'
-                # fallback loop
-                sub, orig = g.induced(interior)
-                for comp in sub.components():
-                    piece = frozenset(orig[v] for v in comp)
-                    if g.is_clique(piece):
-                        new_parts.append(piece)
-                        new_kinds.append(CLIQUE)
-                        new_conn.append(0)
-                    else:
-                        new_parts.append(piece)
-                        new_kinds.append(RAW)
-                        new_conn.append(0)
-            else:
-                for clique in cover:
-                    sub, orig = g.induced(clique)
-                    for comp in sub.components():
-                        new_parts.append(frozenset(orig[v] for v in comp))
-                        new_kinds.append(CLIQUE)
-                        new_conn.append(0)
+        cover = clique_partition_exact(g, interior, KAPPA) if len(interior) <= 24 else None
+        if cover is None:
+            # the connected pieces of the interior; correctness is restored
+            # downstream by the solvers' fallback loop
+            sub, orig = g.induced(interior)
+            cover = [frozenset(orig[v] for v in comp) for comp in sub.components()]
+        for piece in cover:
+            add(piece, RAW)
 
-    p = Partition(
-        tuple(new_parts),
-        tuple(new_kinds),
-        tuple(new_conn),
-        provenance="refine_to_linked",
-    )
+    conn = tuple(cfg.g_threshold + 1 if k == LINKED else 0 for k in kinds)
+    p = Partition(tuple(parts), tuple(kinds), conn)
     return p, build_quotient(g, p.parts)
 
 
@@ -338,4 +308,4 @@ def partition_from_json(text: str) -> Partition:
         else:
             kinds.append(k)
             conn.append(0)
-    return Partition(parts, tuple(kinds), tuple(conn), provenance="file")
+    return Partition(parts, tuple(kinds), tuple(conn))

@@ -142,7 +142,7 @@ def test_partition_structure(capsys):
     for seed in range(100):
         n = 20 + (seed % 5) * 10
         g = disk_graph(n, 1.8, seed, beta=(1.0, 2.0)[seed % 2])
-        p0, _ = kappa_partition(g)
+        p0 = kappa_partition(g)
         p, _ = refine_to_linked(g, p0, cfg)
         if not p.check(g):
             bad_structure += 1

@@ -103,6 +103,14 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     assert run(["ham", str(g)]) == (3, "")
     assert capsys.readouterr().err.startswith("error: ")
 
+    # any other exception is internal too, never a "no"
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(hamilton, "reconstruct", crash)
+    assert run(["ham", str(g)]) == (3, "")
+    assert capsys.readouterr().err.startswith("error: internal: ")
+
 
 def test_ham_and_partition_take_no_seed(tmp_path, capsys):
     # nor any other flag that no code they run reads
@@ -128,6 +136,13 @@ def test_longpath_exit_codes(tmp_path):
     p.write_text(write_graph(g))
     assert run(["longpath", str(p), "--k", "6"])[0] == 0
     assert run(["longpath", str(p), "--k", "7"])[0] == 1
+
+
+def test_zero_d_is_an_input_error(tmp_path, capsys):
+    path, _ = write_k5(tmp_path)
+    assert run(["longpath", path, "--k", "8", "--d", "0"]) == (2, "")
+    assert run(["cover", path, "--k", "8", "--d", "0"]) == (2, "")
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_partition_output(tmp_path):

@@ -15,6 +15,7 @@ from fatpath.graphs import (
     vertex_connectivity,
     write_graph,
 )
+from fatpath.oracle import separator_enum
 
 PETERSEN = Graph(10, [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -111,11 +112,18 @@ def test_connectivity_petersen_brute_force():
 
 
 def test_connectivity_at_most_min_degree():
-    for seed in range(10):
-        g = random_graph(12, 0.4, seed)
-        if not g.is_connected() or g.m == 12 * 11 // 2:
+    # ten graphs on 12 vertices plus 45 of other sizes and densities; each
+    # is also checked against networkx's node connectivity
+    inputs = [(12, 0.4, seed) for seed in range(10)]
+    inputs += [(4 + s % 11, (0.2, 0.4, 0.7)[s % 3], 200 + s) for s in range(45)]
+    for n, p, seed in inputs:
+        g = random_graph(n, p, seed)
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(n))
+        assert vertex_connectivity(g) == nx.node_connectivity(h)
+        if not g.is_connected() or g.m == n * (n - 1) // 2:
             continue
-        assert vertex_connectivity(g) <= min(g.degree(v) for v in range(12))
+        assert vertex_connectivity(g) <= min(g.degree(v) for v in range(n))
 
 
 def test_separator_k5_absent():
@@ -126,6 +134,8 @@ def test_separator_cut_vertex():
     # two triangles joined at vertex 0
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     assert find_separator_leq(g, frozenset(range(5)), 1) == {0}
+    # P5 has three cut vertices; the first nonadjacent pair's cut is kept
+    assert find_separator_leq(path(5), frozenset(range(5)), 1) == {1}
 
 
 def test_separator_agrees_with_enumeration():
@@ -152,6 +162,15 @@ def test_separator_agrees_with_enumeration():
         if found is not None:
             sub, _ = g.induced(x - found)
             assert len(sub.components()) > 1
+    # minimum size against subset enumeration, at every cap up to 3
+    for seed in range(30):
+        g = random_graph(6 + seed % 9, (0.3, 0.5, 0.7)[seed % 3], 300 + seed)
+        x = frozenset(max(g.components(), key=len))
+        for cap in range(4):
+            found = find_separator_leq(g, x, cap)
+            ref = separator_enum(g, x, cap)
+            assert (found is None) == (ref is None), (seed, cap)
+            assert found is None or len(found) == len(ref), (seed, cap)
 
 
 def test_alpha_complete():

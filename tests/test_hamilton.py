@@ -37,7 +37,7 @@ def random_graph(n, p, seed):
 
 
 def refined(g, cfg=None):
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     return refine_to_linked(g, p0, cfg or SolverConfig())[0]
 
 
@@ -51,7 +51,7 @@ def test_red_closure_c6_two_parts():
     from fatpath.partition import Partition, CLIQUE, RAW
     g = cycle(6)
     p = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})),
-                  (RAW, RAW), (None, None), "test")
+                  (RAW, RAW), (None, None))
     assert red_closure(g, p) == {(0, 2), (3, 5)}
 
 
@@ -107,7 +107,7 @@ def test_compress_interior_dropped():
     edges += [(8, 9), (8, 10), (9, 10), (0, 8)]
     g = Graph(11, edges)
     p = Partition((frozenset(range(8)), frozenset({8, 9, 10})),
-                  (CLIQUE, CLIQUE), (None, None), "test")
+                  (CLIQUE, CLIQUE), (None, None))
     blue = select_blue_edges(g, p, "all")
     comp = compress(g, p, blue)
     assert comp.h.n == 4  # two blue endpoints plus two contracted vertices

@@ -46,7 +46,7 @@ def test_contraction_invariants():
     for seed in range(40):
         g = random_graph(13, 0.35, 200 + seed)
         sub, _ = g.induced(max(g.components(), key=len))
-        p = refine_to_linked(sub, kappa_partition(sub)[0], SolverConfig())[0]
+        p = refine_to_linked(sub, kappa_partition(sub), SolverConfig())[0]
         owner = p.part_of()
         selections = [hamilton.select_blue_edges(sub, p, s) for s in ("all", "bounded")]
         selections += [longpath.mark(sub, p, s) for s in ("full", "bounded")]

@@ -43,7 +43,7 @@ def random_graph(n, p, seed):
 
 def pipeline(g, cfg=None):
     cfg = cfg or SolverConfig()
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, cfg)
     return p
 
@@ -91,7 +91,7 @@ def test_build_weighted_keeps_raw_parts_whole():
     # added, so H is G itself
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     p = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})),
-                  (RAW, RAW), (None, None), "test")
+                  (RAW, RAW), (None, None))
     for strategy in ("full", "bounded"):
         wc = build_weighted(g, p, mark(g, p, strategy))
         assert wc.contracted == {}

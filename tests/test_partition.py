@@ -10,6 +10,7 @@ from fatpath.oracle import planted_two_clique_graph
 from fatpath.partition import (
     CLIQUE,
     SolverConfig,
+    build_quotient,
     clique_partition_exact,
     kappa_partition,
     partition_from_json,
@@ -34,19 +35,21 @@ def random_graph(n, p, seed):
 
 
 def test_kappa_k5_single_part():
-    p, q = kappa_partition(k(5))
+    p = kappa_partition(k(5))
+    q = build_quotient(k(5), p.parts)
     assert len(p.parts) == 1 and p.parts[0] == frozenset(range(5))
     assert q.graph.n == 1 and q.graph.m == 0
 
 
 def test_kappa_edgeless_singletons():
-    p, _ = kappa_partition(Graph(4, []))
+    p = kappa_partition(Graph(4, []))
     assert sorted(sorted(x) for x in p.parts) == [[0], [1], [2], [3]]
 
 
 def test_kappa_c6_frozen():
     # vertex 5 has both MIS neighbors 0 and 4; the smaller id wins
-    p, q = kappa_partition(cycle(6))
+    p = kappa_partition(cycle(6))
+    q = build_quotient(cycle(6), p.parts)
     assert sorted(sorted(x) for x in p.parts) == [[0, 1, 5], [2, 3], [4]]
     assert sorted(q.graph.edges()) == [(0, 1), (0, 2), (1, 2)]
 
@@ -54,7 +57,7 @@ def test_kappa_c6_frozen():
 def test_kappa_parts_connected():
     for seed in range(20):
         g = random_graph(18, 0.25, seed)
-        p, _ = kappa_partition(g)
+        p = kappa_partition(g)
         for part in p.parts:
             sub, _ = g.induced(part)
             assert sub.is_connected()
@@ -69,7 +72,7 @@ def test_kappa_non_center_adjacent_to_center():
     for seed in range(20):
         g = random_graph(16, 0.3, seed)
         mis = _mis_of(g)
-        p, _ = kappa_partition(g)
+        p = kappa_partition(g)
         for part in p.parts:
             (center,) = part & mis
             for v in part - {center}:
@@ -111,14 +114,14 @@ def test_separator_tree_leaf_connectivity():
 
 def test_refine_k5_clique():
     g = k(5)
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, SolverConfig())
     assert len(p.parts) == 1 and p.kinds[0] == CLIQUE
 
 
 def test_refine_c6_all_cliques():
     g = cycle(6)
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, SolverConfig(g_threshold=2))
     assert all(kind == CLIQUE for kind in p.kinds)
     p.check(g)
@@ -129,7 +132,7 @@ def test_refine_two_k6_single_edge():
     edges += [(u + 6, v + 6) for u, v in itertools.combinations(range(6), 2)]
     edges.append((0, 6))
     g = Graph(12, edges)
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, SolverConfig(g_threshold=1))
     p.check(g)
 
@@ -140,7 +143,7 @@ def test_refine_output_invariants_random():
         g = random_graph(20, 0.3, 500 + seed)
         if not g.is_connected():
             continue
-        p0, _ = kappa_partition(g)
+        p0 = kappa_partition(g)
         p, q = refine_to_linked(g, p0, cfg)
         p.check(g)  # raises on any violated kind/cover/connectivity invariant
         assert sum(len(x) for x in p.parts) == g.n
@@ -202,7 +205,7 @@ def test_partition_json_round_trip():
     g = random_graph(15, 0.35, 9)
     if not g.is_connected():
         g = k(15)
-    p0, _ = kappa_partition(g)
+    p0 = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, SolverConfig())
     again = partition_from_json(partition_to_json(p))
     assert again.parts == p.parts and again.kinds == p.kinds
@@ -215,7 +218,7 @@ def test_parts_of_geometric_instance_stay_close():
     g = intersection_graph(inst)
     comp = max(g.components(), key=len)
     sub, ids = g.induced(comp)
-    p, _ = kappa_partition(sub)
+    p = kappa_partition(sub)
     for part in p.parts:
         for u, v in itertools.combinations(sorted(part), 2):
             a, b = inst.objects[ids[u]], inst.objects[ids[v]]

@@ -1,20 +1,55 @@
 """Every call site the benchmark's tracer wraps must exist in the package.
 
 perfbench/spans.py replaces module globals of the solvers by name for a
-traced run (``--trace 1``); a renamed or deleted global breaks that run.
+traced run (``--trace 1``); a renamed or deleted global, or a changed
+return shape that its span description reads, breaks that run.
 """
 
 import importlib.util
+import math
 import os
+
+from fatpath import solve_hamiltonian_cycle, solve_hamiltonian_path, solve_long_path
+from fatpath.geometry import generate_instance, intersection_graph
+from fatpath.graphs import Graph
+from fatpath.partition import SolverConfig
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
 
 
-def test_wrapped_names_resolve():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_wrapped_names_resolve():
+    spans = load_spans()
     assert spans.WRAPPED
     for module, attr, _span in spans.WRAPPED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_solves_yield_layer_metrics():
+    spans = load_spans()
+    ring = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    # a beta=2 instance whose cycle solve at g_threshold=1 lifts through a
+    # linked part, so linkage spans occur too
+    dense = intersection_graph(generate_instance(
+        d=2, beta=2.0, n=12, box_side=math.sqrt(12), shape_mix=0.5, seed=0))
+    solves = [
+        ("cycle", lambda: solve_hamiltonian_cycle(ring), ring.n),
+        ("path", lambda: solve_hamiltonian_path(ring), ring.n),
+        ("longpath", lambda: solve_long_path(ring, 6), ring.n),
+        ("cycle", lambda: solve_hamiltonian_cycle(dense, SolverConfig(g_threshold=1)), dense.n),
+    ]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for sid, (problem, solve, n) in enumerate(solves):
+            with tracer.solve(sid, f"solve.{problem}", n):
+                assert solve() is not None
+    assert any(s.name == "linkage" for s in tracer.spans)
+    metrics = spans.layer_metrics(tracer.spans, {})
+    assert metrics["trace.solves"][0] == len(solves)
