@@ -141,7 +141,12 @@ def cmd_longpath(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    if args.outer and (args.d is not None or args.cr is not None):
+        # outer_cover reads neither, so a value given would be ignored
+        raise InputError("--d and --cr set the pattern cover; --outer takes neither")
     g = _load_graph(args)
+    d = 2 if args.d is None else args.d
+    c_r = 4.0 if args.cr is None else args.cr
     records = []
     hits = 0
     for t in range(args.trials):
@@ -152,7 +157,7 @@ def cmd_cover(args) -> int:
             if len(a) == g.n:
                 hits += 1
         else:
-            sample = pattern_cover(g, args.k, seed, d=args.d, c_r=args.cr)
+            sample = pattern_cover(g, args.k, seed, d=d, c_r=c_r)
             records.extend(sample.records)
             if not sample.aborted:
                 hits += 1
@@ -220,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=8)
     sp.add_argument("--outer", action="store_true")
     sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--cr", type=float, default=4.0)
+    # read by the pattern cover alone; 2 and 4.0 when unset
+    sp.add_argument("--d", type=int, default=None)
+    sp.add_argument("--cr", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trace", default=None)
     sp.set_defaults(func=cmd_cover)

@@ -1,15 +1,21 @@
-"""Hamiltonian cycle and path through partition compression.
+"""Hamiltonian cycle and path: the input graph first, then partition
+compression past the search budget.
 
-Pipeline: pick bounded cross-edge sets (blue edges), then contract G along
-the partition (compress): every part that is not raw keeps its
-blue-incident vertices plus one contracted vertex standing for the rest and
-becomes a clique (the red edges of red_closure, added inline); raw parts
-stay whole with their own edges.  H is decided exactly by run_exact, in
-this order: a degree rejection (_degree_rejects), the exhaustive search
-_dfs_ham under a budget of SEARCH_NODES popped nodes, and, only when that
-budget runs out, the treewidth DP, or the unbudgeted search when H is small
-and its decomposition wide.  reconstruct puts each contracted vertex's set
-back where it sits in the witness before the lift.
+Route (_solve): the trivial cases (empty, disconnected, too small); a
+complete G, answered in id order; a degree rejection (_degree_rejects);
+then the exhaustive search _dfs_ham on G itself under a budget of
+SEARCH_NODES popped nodes.  Only when that budget runs out does the
+paper's pipeline run: pick bounded cross-edge sets (blue edges), then
+contract G along the partition (compress): every part that is not raw
+keeps its blue-incident vertices plus one contracted vertex standing for
+the rest and becomes a clique (the red edges of red_closure, added inline);
+raw parts stay whole with their own edges.  H is decided exactly by
+run_exact, in the same order: a degree rejection, the budgeted search, and,
+past the budget, the treewidth DP, or the unbudgeted search when H is small
+and its decomposition wide.  When the partition has one part, H is G, on
+which the search has already run out, so G goes straight to that last step.
+reconstruct puts each contracted vertex's set back where it sits in the
+witness before the lift.
 
 The long path solver shares the contraction, the expansion and the search:
 it calls compress as build_weighted with its own selection (longpath.mark),
@@ -454,6 +460,10 @@ def _degree_rejects(h: Graph, kind: str) -> bool:
 
 def _solve(g: Graph, cfg: SolverConfig, kind: str,
            blue_strategy: str = "all") -> Optional[Certificate]:
+    # checked up front: the search on G decides most graphs before
+    # select_blue_edges would reject it
+    if blue_strategy not in ("all", "bounded"):
+        raise ValueError(f"unknown blue strategy {blue_strategy!r}")
     if g.n == 0:
         return None
     if not g.is_connected():
@@ -462,7 +472,18 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
         return None
     if kind == "path" and g.n == 1:
         return Certificate("path", (0,))
+    if g.m == g.n * (g.n - 1) // 2:
+        # a complete graph is trivially traversable in id order
+        return checked(g, kind, range(g.n), hamiltonian=True)
     dp = hamiltonian_cycle_dp if kind == "cycle" else hamiltonian_path_dp
+
+    def past_budget(h: Graph) -> Optional[Certificate]:
+        td = heuristic_decomposition(h)
+        if td.width > 7 and h.n <= 24:
+            # bag DP pays off only below this width; small dense graphs go
+            # to the search without a budget instead
+            return _dfs_ham(h, kind)
+        return dp(h, td)
 
     def run_exact(h: Graph) -> Optional[Certificate]:
         if _degree_rejects(h, kind):
@@ -471,24 +492,23 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
             return _dfs_ham(h, kind, budget=SEARCH_NODES)
         except SearchBudgetExceeded:
             pass
-        td = heuristic_decomposition(h)
-        if td.width > 7 and h.n <= 24:
-            # bag DP pays off only below this width; small dense graphs go
-            # to the search without a budget instead
-            return _dfs_ham(h, kind)
-        return dp(h, td)
+        return past_budget(h)
 
+    if _degree_rejects(g, kind):
+        return None
+    try:
+        return _dfs_ham(g, kind, budget=SEARCH_NODES)
+    except SearchBudgetExceeded:
+        pass
+
+    # past the budget: the paper's pipeline.  Where H would be G, the search
+    # has already spent its budget on it, so G goes straight to past_budget.
     if g.n <= 3:
-        return run_exact(g)
-
+        return past_budget(g)
     p0 = kappa_partition(g)
     p, q = refine_to_linked(g, p0, cfg)
-
     if len(p.parts) == 1:
-        if p.kinds[0] == CLIQUE:
-            # a complete graph is trivially traversable in id order
-            return checked(g, kind, range(g.n), hamiltonian=True)
-        return run_exact(g)
+        return past_budget(g)
 
     blue = select_blue_edges(g, p, blue_strategy)
 

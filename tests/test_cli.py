@@ -99,6 +99,8 @@ def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     def blame_part_0(*args, **kwargs):
         raise hamilton.FallbackRequired(0)
 
+    # the search on G would decide this graph before the lift runs
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
     monkeypatch.setattr(hamilton, "reconstruct", blame_part_0)
     assert run(["ham", str(g)]) == (3, "")
     assert capsys.readouterr().err.startswith("error: ")
@@ -124,6 +126,13 @@ def test_ham_and_partition_take_no_seed(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["longpath", path, "--k", "4", "--lambda", "7"])
     assert exc.value.code == 2
+    # outer_cover reads neither pattern-cover flag
+    capsys.readouterr()
+    for flag in (["--d", "2"], ["--cr", "4.0"]):
+        assert run(["cover", path, "--outer"] + flag) == (2, ""), flag
+        assert capsys.readouterr().err.startswith("error: "), flag
+    assert run(["cover", path, "--outer"])[0] == 0
+    assert run(["cover", path, "--d", "3", "--cr", "2.0"])[0] == 0
 
 
 def test_ham_missing_file():

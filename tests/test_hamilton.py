@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpath import hamilton
@@ -263,3 +264,44 @@ def test_bounded_strategy_matches_oracle():
 def test_certificate_serialization():
     cert = Certificate("cycle", (0, 2, 1))
     assert cert.serialize() == "cycle: 0 2 1"
+
+
+def test_route_decides_g_before_the_partition(monkeypatch):
+    calls = []
+    inner = hamilton.kappa_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hamilton, "kappa_partition", counted)
+    graphs = []
+    for seed in range(60):
+        rng = random.Random(9000 + seed)
+        graphs.append(random_graph(rng.randint(4, 10), rng.uniform(0.2, 0.8), 9000 + seed))
+    for budget in (hamilton.SEARCH_NODES, 0):
+        calls.clear()
+        monkeypatch.setattr(hamilton, "SEARCH_NODES", budget)
+        for i, g in enumerate(graphs):
+            for solve, oracle in ((solve_hamiltonian_cycle, held_karp_cycle),
+                                  (solve_hamiltonian_path, held_karp_path)):
+                cert = solve(g)
+                assert (cert is None) == (oracle(g) is None), (budget, i)
+                if cert is not None:
+                    assert cert.validate(g, hamiltonian=True), (budget, i)
+        # within the budget the search on G decides every graph; with none,
+        # the connected graphs that pass the degree check reach the partition
+        assert calls if budget == 0 else not calls, budget
+
+    # still at budget 0: a complete graph answers before any search,
+    # partition or DP
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a complete graph reached the pipeline")
+
+    for name in ("kappa_partition", "heuristic_decomposition", "solve_dp", "_dfs_ham"):
+        monkeypatch.setattr(hamilton, name, unreachable)
+    for kind, solve in (("cycle", solve_hamiltonian_cycle), ("path", solve_hamiltonian_path)):
+        assert solve(k(30)) == Certificate(kind, tuple(range(30)))
+        # an unknown blue strategy is rejected before any route is taken
+        with pytest.raises(ValueError):
+            solve(k(30), blue_strategy="unknown")

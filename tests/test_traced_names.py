@@ -9,7 +9,7 @@ import importlib.util
 import math
 import os
 
-from fatpath import solve_hamiltonian_cycle, solve_hamiltonian_path, solve_long_path
+from fatpath import hamilton, solve_hamiltonian_cycle, solve_hamiltonian_path, solve_long_path
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
 from fatpath.partition import SolverConfig
@@ -32,7 +32,7 @@ def test_wrapped_names_resolve():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_traced_solves_yield_layer_metrics():
+def test_traced_solves_yield_layer_metrics(monkeypatch):
     spans = load_spans()
     ring = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
     # a beta=2 instance whose cycle solve at g_threshold=1 lifts through a
@@ -48,7 +48,11 @@ def test_traced_solves_yield_layer_metrics():
     tracer = spans.Tracer()
     with tracer.installed():
         for sid, (problem, solve, n) in enumerate(solves):
-            with tracer.solve(sid, f"solve.{problem}", n):
+            with monkeypatch.context() as m, tracer.solve(sid, f"solve.{problem}", n):
+                # the search on G would decide the Hamiltonian solves before
+                # any partition or linkage span
+                if problem != "longpath":
+                    m.setattr(hamilton, "SEARCH_NODES", 0)
                 assert solve() is not None
     assert any(s.name == "linkage" for s in tracer.spans)
     metrics = spans.layer_metrics(tracer.spans, {})

@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
+from networkx.algorithms.approximation import treewidth_min_fill_in
 
+from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
 from fatpath.oracle import treewidth_exact
 from fatpath.treewidth import TreeDecomposition, heuristic_decomposition, validate
@@ -81,3 +84,31 @@ def test_heuristic_always_valid(seed, n):
     g = random_graph(n, 0.3, seed)
     td = heuristic_decomposition(g)
     assert validate(g, td)
+
+
+def networkx_min_fill(g):
+    """networkx's treewidth_min_fill_in, converted as heuristic_decomposition
+    converts its own result (bags sorted lexicographically)."""
+    if g.n <= 1:
+        return heuristic_decomposition(g)
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    _, dec = treewidth_min_fill_in(h)
+    bags = sorted(dec.nodes, key=lambda s: tuple(sorted(s)))
+    index = {bag: i for i, bag in enumerate(bags)}
+    edges = sorted((min(index[a], index[b]), max(index[a], index[b])) for a, b in dec.edges)
+    return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def test_heuristic_is_networkx_min_fill():
+    graphs = []
+    for seed in range(2000):
+        rng = random.Random(seed)
+        graphs.append(random_graph(rng.randint(0, 30), rng.random(), seed))
+    for seed in range(20):
+        n = 20 + 4 * seed
+        graphs.append(intersection_graph(generate_instance(
+            d=2, beta=2.0, n=n, box_side=0.9 * n ** 0.5, shape_mix=0.5, seed=seed)))
+    for i, g in enumerate(graphs):
+        assert heuristic_decomposition(g) == networkx_min_fill(g), i
