@@ -145,8 +145,8 @@ def cmd_cover(args) -> int:
         # outer_cover reads neither, so a value given would be ignored
         raise InputError("--d and --cr set the pattern cover; --outer takes neither")
     g = _load_graph(args)
-    d = 2 if args.d is None else args.d
-    c_r = 4.0 if args.cr is None else args.cr
+    # unset flags keep pattern_cover's own defaults
+    given = {k: v for k, v in (("d", args.d), ("c_r", args.cr)) if v is not None}
     records = []
     hits = 0
     for t in range(args.trials):
@@ -157,7 +157,7 @@ def cmd_cover(args) -> int:
             if len(a) == g.n:
                 hits += 1
         else:
-            sample = pattern_cover(g, args.k, seed, d=d, c_r=c_r)
+            sample = pattern_cover(g, args.k, seed, **given)
             records.extend(sample.records)
             if not sample.aborted:
                 hits += 1
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=8)
     sp.add_argument("--outer", action="store_true")
     sp.add_argument("--trials", type=int, default=1)
-    # read by the pattern cover alone; 2 and 4.0 when unset
+    # read by the pattern cover alone, which has its own defaults
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--cr", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)

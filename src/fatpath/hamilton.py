@@ -105,6 +105,11 @@ class BlueSelection:
         return frozenset(v for pairs in self.sets.values() for e in pairs for v in e)
 
 
+def _check_blue_strategy(strategy: str) -> None:
+    if strategy not in ("all", "bounded"):
+        raise ValueError(f"unknown blue strategy {strategy!r}")
+
+
 def select_blue_edges(
     g: Graph, p: Partition, strategy: str = "all"
 ) -> BlueSelection:
@@ -113,8 +118,7 @@ def select_blue_edges(
     degree; its adequacy is enforced by oracle-equivalence tests.  The
     contraction keeps the chosen edges' endpoints and every input cross edge
     between them."""
-    if strategy not in ("all", "bounded"):
-        raise ValueError(f"unknown blue strategy {strategy!r}")
+    _check_blue_strategy(strategy)
     cross = cross_edges(g, p.part_of())
     delta = max(quotient_degree(cross), 1)
     cap = 4 * (2 * delta - 1) ** 2
@@ -461,9 +465,8 @@ def _degree_rejects(h: Graph, kind: str) -> bool:
 def _solve(g: Graph, cfg: SolverConfig, kind: str,
            blue_strategy: str = "all") -> Optional[Certificate]:
     # checked up front: the search on G decides most graphs before
-    # select_blue_edges would reject it
-    if blue_strategy not in ("all", "bounded"):
-        raise ValueError(f"unknown blue strategy {blue_strategy!r}")
+    # select_blue_edges would see it
+    _check_blue_strategy(blue_strategy)
     if g.n == 0:
         return None
     if not g.is_connected():

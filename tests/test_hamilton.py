@@ -179,14 +179,33 @@ def test_reconstruct_identity_when_uncompressed():
     assert cert.validate(g, hamiltonian=True)
 
 
-def test_reconstruct_inserts_clique_interior():
+def spy(monkeypatch, name):
+    """Count the calls _solve makes to hamilton.<name>; the list holds each
+    call's arguments."""
+    calls = []
+    inner = getattr(hamilton, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hamilton, name, counted)
+    return calls
+
+
+def test_reconstruct_inserts_clique_interior(monkeypatch):
     # K8 core with a small satellite triangle; interior of the clique is
-    # contracted in H and must be expanded where its vertex sits
+    # contracted in H and must be expanded where its vertex sits.  The
+    # search on G would decide it before the contraction; with no budget
+    # the pipeline runs.
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    calls = spy(monkeypatch, "reconstruct")
     edges = list(itertools.combinations(range(8), 2))
     edges += [(0, 8), (1, 9), (8, 9)]
     g = Graph(10, edges)
     cert = solve_hamiltonian_cycle(g)
     assert cert is not None and cert.validate(g, hamiltonian=True)
+    assert calls
 
 
 def test_solve_k5():
@@ -238,7 +257,11 @@ def test_solve_matches_oracle_geometric():
             assert mine.validate(g, hamiltonian=True)
 
 
-def test_bounded_strategy_matches_oracle():
+def test_bounded_strategy_matches_oracle(monkeypatch):
+    # the search on G would decide every case before the blue selection;
+    # with no budget the pipeline runs
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    calls = spy(monkeypatch, "select_blue_edges")
     cases = []
     for seed in range(30):
         rng = random.Random(7000 + seed)
@@ -252,13 +275,20 @@ def test_bounded_strategy_matches_oracle():
         (1, 8), (1, 9), (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
         (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8),
         (6, 9)]), SolverConfig(g_threshold=1)))
+    reached = []
     for g, cfg in cases:
         for solve, oracle in ((solve_hamiltonian_cycle, held_karp_cycle),
                               (solve_hamiltonian_path, held_karp_path)):
+            calls.clear()
             mine = solve(g, cfg, blue_strategy="bounded")
             assert (mine is None) == (oracle(g) is None)
             if mine is not None:
                 assert mine.validate(g, hamiltonian=True)
+            reached.append([args[2] for args in calls])
+    # both solves of the hand-built graph, and so its skipped cross edge,
+    # reach the bounded selection, as do most of the random cases
+    assert reached[-2:] == [["bounded"], ["bounded"]], reached[-2:]
+    assert sum(bool(r) for r in reached) > len(reached) // 2, reached
 
 
 def test_certificate_serialization():
@@ -267,14 +297,7 @@ def test_certificate_serialization():
 
 
 def test_route_decides_g_before_the_partition(monkeypatch):
-    calls = []
-    inner = hamilton.kappa_partition
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(hamilton, "kappa_partition", counted)
+    calls = spy(monkeypatch, "kappa_partition")
     graphs = []
     for seed in range(60):
         rng = random.Random(9000 + seed)
