@@ -61,13 +61,12 @@ def checked(
     weights: Optional[Sequence[int]] = None,
     target: int = 0,
 ) -> Certificate:
-    """The certificate for seq, if it validates on g (and, with weights, has
-    total weight >= target); CertificateError otherwise.  An explicit check,
-    so it also holds under ``python -O``."""
+    """The certificate for seq, if it validates on g and has at least target
+    vertices (with weights, total weight >= target); CertificateError
+    otherwise.  An explicit check, so it also holds under ``python -O``."""
     if seq is not None:
         cert = Certificate(kind, tuple(seq))
-        if cert.validate(g, hamiltonian) and (
-            weights is None or sum(weights[v] for v in seq) >= target
-        ):
+        size = len(cert) if weights is None else sum(weights[v] for v in cert.vertices)
+        if cert.validate(g, hamiltonian) and size >= target:
             return cert
     raise CertificateError(f"{kind} witness {seq} does not validate")

@@ -128,15 +128,14 @@ def cmd_ham(args) -> int:
     g = _load_graph(args)
     cfg = _config(args)
     solve = solve_hamiltonian_path if args.path else solve_hamiltonian_cycle
-    cert = solve(g, cfg, blue_strategy=args.blue_strategy)
+    cert = solve(g, cfg)
     return _emit_verdict(cert)
 
 
 def cmd_longpath(args) -> int:
     g = _load_graph(args)
     cfg = _config(args)
-    cert = solve_long_path(g, args.k, cfg, seed=args.seed,
-                           mark_strategy=args.mark_strategy)
+    cert = solve_long_path(g, args.k, cfg, seed=args.seed)
     return _emit_verdict(cert)
 
 
@@ -207,14 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ham", help="Hamiltonian cycle (or path with --path)")
     sp.add_argument("input")
     sp.add_argument("--path", action="store_true")
-    sp.add_argument("--blue-strategy", choices=["all", "bounded"], default="all")
     _add_solver_flags(sp)
     sp.set_defaults(func=cmd_ham)
 
     sp = sub.add_parser("longpath", help="path on >= k vertices")
     sp.add_argument("input")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--mark-strategy", choices=["full", "bounded"], default="full")
     _add_solver_flags(sp, cover=True)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)

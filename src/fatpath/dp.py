@@ -4,7 +4,7 @@ One engine serves three problems:
 
   * mode "cycle":    Hamiltonian cycle (every vertex degree 2, one cycle)
   * mode "path":     Hamiltonian path (every vertex on one path, 2 ends)
-  * mode "longpath": maximum-weight path, vertices optional
+  * mode "longpath": longest path, vertices optional
 
 A state at a bag records, per bag vertex: excluded (longpath only) or its
 current degree 0/1/2 in the partial solution, a pairing of the degree-1
@@ -13,8 +13,8 @@ endpoint already forgotten and committed as an end of the final path), and a
 done flag set once the single final cycle/path has closed.  The number of
 committed final ends is the number of FINAL markers; there are at most two.
 Each state keeps one representative edge list for certificate
-reconstruction; in longpath mode the representative with the largest total
-weight wins.
+reconstruction; in longpath mode the representative with the most vertices
+wins.
 
 The tree is rooted at node 0 and solved children first.  Every vertex is
 forgotten at its top node, the node nearest the root whose bag holds it,
@@ -37,7 +37,7 @@ and ties keep the first representative.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graphs import Graph
 from .treewidth import TreeDecomposition
@@ -109,17 +109,17 @@ def _forget_schedule(
 
 
 class _Table:
-    """state -> (weight, edge list); insertion order preserved."""
+    """state -> (included vertices, edge list); insertion order preserved."""
 
     __slots__ = ("data",)
 
     def __init__(self):
         self.data: dict[tuple, tuple[int, list]] = {}
 
-    def add(self, state: tuple, weight: int, edges: list) -> None:
+    def add(self, state: tuple, size: int, edges: list) -> None:
         cur = self.data.get(state)
-        if cur is None or weight > cur[0]:
-            self.data[state] = (weight, edges)
+        if cur is None or size > cur[0]:
+            self.data[state] = (size, edges)
 
     def items(self):
         return self.data.items()
@@ -129,21 +129,19 @@ def solve_dp(
     h: Graph,
     td: TreeDecomposition,
     mode: str,
-    weights: Optional[Sequence[int]] = None,
     target: int = 0,
 ) -> Optional[list[tuple[int, int]]]:
     """Run the DP; return the chosen edge list of a witness, or None.
 
-    For mode "longpath" the witness is a path of total vertex weight >=
-    target with at least one edge (single-vertex paths are the caller's
-    job); weights default to 1.  ValueError if td misses a vertex or an edge
-    of h, or the bags holding a vertex are not connected.
+    For mode "longpath" the witness is a longest path, if it has at least
+    target vertices and at least one edge (single-vertex paths are the
+    caller's job).  ValueError if td misses a vertex or an edge of h, or the
+    bags holding a vertex are not connected.
     """
     if mode not in ("cycle", "path", "longpath"):
         raise ValueError(f"unknown mode {mode!r}")
     if h.n == 0:
         return None
-    w = list(weights) if weights is not None else [1] * h.n
     optional = mode == "longpath"
 
     postorder, parent, children = _root_order(td)
@@ -156,12 +154,12 @@ def solve_dp(
         if not kids:
             table = _Table()
             table.add(((), (), False), 0, [])
-            table = _transform(table, (), bag, w, optional)
+            table = _transform(table, (), bag, optional)
         else:
-            parts = [_transform(*tables.pop(c), bag, w, optional) for c in kids]
+            parts = [_transform(*tables.pop(c), bag, optional) for c in kids]
             table = parts[0]
             for other in parts[1:]:
-                table = _join(table, other, bag, w, mode)
+                table = _join(table, other, mode)
         for v in forgotten_at[i]:
             for a, b in owned[v]:
                 table = _edge(table, bag, a, b, mode)
@@ -184,37 +182,37 @@ def _no_other_segment(match: tuple, ends: int) -> bool:
     return len(match) - match.count(NO_PARTNER) == ends
 
 
-def _transform(table: _Table, from_bag: tuple, to_bag: tuple, w, optional) -> _Table:
+def _transform(table: _Table, from_bag: tuple, to_bag: tuple, optional) -> _Table:
     """Introduce the vertices of to_bag that from_bag, a subset, lacks."""
     cur = table
     cur_bag = list(from_bag)
     for v in sorted(set(to_bag) - set(from_bag)):
-        cur = _introduce(cur, tuple(cur_bag), v, w, optional)
+        cur = _introduce(cur, tuple(cur_bag), v, optional)
         cur_bag = sorted(cur_bag + [v])
     return cur
 
 
-def _introduce(table: _Table, bag: tuple, v: int, w, optional) -> _Table:
+def _introduce(table: _Table, bag: tuple, v: int, optional) -> _Table:
     pos = 0
     while pos < len(bag) and bag[pos] < v:
         pos += 1
     out = _Table()
-    for (statuses, match, done), (weight, edges) in table.items():
+    for (statuses, match, done), (size, edges) in table.items():
         # partner indices at or after pos shift; the markers are negative
         new_match = tuple(p + 1 if p >= pos else p for p in match)
         st_inc = statuses[:pos] + (0,) + statuses[pos:]
         mt = new_match[:pos] + (NO_PARTNER,) + new_match[pos:]
-        out.add((st_inc, mt, done), weight + w[v], edges)
+        out.add((st_inc, mt, done), size + 1, edges)
         if optional:
             st_exc = statuses[:pos] + (EXCLUDED,) + statuses[pos:]
-            out.add((st_exc, mt, done), weight, edges)
+            out.add((st_exc, mt, done), size, edges)
     return out
 
 
 def _forget(table: _Table, bag: tuple, v: int, mode: str) -> _Table:
     pos = bag.index(v)
     out = _Table()
-    for (statuses, match, done), (weight, edges) in table.items():
+    for (statuses, match, done), (size, edges) in table.items():
         st = statuses[pos]
         if st == 0:
             continue  # isolated included vertex: never part of a witness
@@ -232,15 +230,15 @@ def _forget(table: _Table, bag: tuple, v: int, mode: str) -> _Table:
             for i, p in enumerate(match)
             if i != pos
         )
-        out.add((statuses[:pos] + statuses[pos + 1 :], new_match, done), weight, edges)
+        out.add((statuses[:pos] + statuses[pos + 1 :], new_match, done), size, edges)
     return out
 
 
 def _edge(table: _Table, bag: tuple, u: int, v: int, mode: str) -> _Table:
     iu, iv = bag.index(u), bag.index(v)
     out = _Table()
-    for state, (weight, edges) in table.items():
-        out.add(state, weight, edges)  # skip the edge
+    for state, (size, edges) in table.items():
+        out.add(state, size, edges)  # skip the edge
         statuses, match, done = state
         su, sv = statuses[iu], statuses[iv]
         if done or su in (EXCLUDED, 2) or sv in (EXCLUDED, 2):
@@ -264,11 +262,11 @@ def _edge(table: _Table, bag: tuple, u: int, v: int, mode: str) -> _Table:
                 new_mt[a] = b
             if b != FINAL:
                 new_mt[b] = a
-        out.add((tuple(new_st), tuple(new_mt), closes), weight, edges + [(u, v)])
+        out.add((tuple(new_st), tuple(new_mt), closes), size, edges + [(u, v)])
     return out
 
 
-def _join(t1: _Table, t2: _Table, bag: tuple, w, mode: str) -> _Table:
+def _join(t1: _Table, t2: _Table, mode: str) -> _Table:
     out = _Table()
     # merges require identical inclusion on the shared bag, so bucket one
     # side by exclusion pattern instead of a full cross product
@@ -276,16 +274,13 @@ def _join(t1: _Table, t2: _Table, bag: tuple, w, mode: str) -> _Table:
     for (st2, mt2, d2), val2 in t2.items():
         excl = tuple(s == EXCLUDED for s in st2)
         buckets.setdefault(excl, []).append((st2, mt2, d2, mt2.count(FINAL), val2))
-    dup_cache: dict = {}
     for (st1, mt1, d1), (w1, e1) in t1.items():
         excl = tuple(s == EXCLUDED for s in st1)
         group = buckets.get(excl)
         if not group:
             continue
-        dup = dup_cache.get(excl)
-        if dup is None:
-            dup = sum(w[bag[i]] for i, s in enumerate(st1) if s != EXCLUDED)
-            dup_cache[excl] = dup
+        # the included bag vertices, counted on both sides
+        dup = excl.count(False)
         f1 = mt1.count(FINAL)
         for st2, mt2, d2, f2, (w2, e2) in group:
             if (d1 and d2) or f1 + f2 > 2:

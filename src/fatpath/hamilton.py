@@ -5,22 +5,22 @@ Route (_solve): the trivial cases (empty, disconnected, too small); a
 complete G, answered in id order; a degree rejection (_degree_rejects);
 then the exhaustive search _dfs_ham on G itself under a budget of
 SEARCH_NODES popped nodes.  Only when that budget runs out does the
-paper's pipeline run: pick bounded cross-edge sets (blue edges), then
-contract G along the partition (compress): every part that is not raw
-keeps its blue-incident vertices plus one contracted vertex standing for
-the rest and becomes a clique (the red edges of red_closure, added inline);
-raw parts stay whole with their own edges.  H is decided exactly by
-run_exact, in the same order: a degree rejection, the budgeted search, and,
-past the budget, the treewidth DP, or the unbudgeted search when H is small
-and its decomposition wide.  When the partition has one part, H is G, on
-which the search has already run out, so G goes straight to that last step.
-reconstruct puts each contracted vertex's set back where it sits in the
-witness before the lift.
+paper's pipeline run: keep the endpoints of every cross edge (the blue
+edges, select_blue_edges), then contract G along the partition (compress):
+every part that is not raw keeps those vertices plus one contracted vertex
+standing for the rest and becomes a clique (the red edges of red_closure,
+added inline); raw parts stay whole with their own edges.  H is decided
+exactly by run_exact, in the same order: a degree rejection, the budgeted
+search, and, past the budget, the treewidth DP, or the unbudgeted search
+when H is small and its decomposition wide.  When the partition has one
+part, H is G, on which the search has already run out, so G goes straight
+to that last step.  reconstruct puts each contracted vertex's set back
+where it sits in the witness before the lift.
 
 The long path solver shares the contraction, the expansion and the search:
-it calls compress as build_weighted with its own selection (longpath.mark),
-reconstruct as _expand, and _dfs_ham, which with vertex weights and a target
-k finds its weighted paths, as _dfs_longpath, under the same budget.
+it calls compress as build_weighted with every vertex kept (longpath.mark),
+reconstruct as _expand, and _dfs_ham, which with a target k finds paths on
+at least k vertices, as _dfs_longpath, under the same budget.
 
 This module also holds the lift both solvers share: _lift splits the
 witness into same-part runs, replaces the runs inside linked parts by exact
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional
 
 from .certificates import Certificate, checked
 from .dp import solve_dp
@@ -47,15 +47,12 @@ from .partition import (
     RAW,
     Partition,
     SolverConfig,
-    cross_edges,
     kappa_partition,
-    quotient_degree,
     refine_to_linked,
 )
 from .treewidth import TreeDecomposition, heuristic_decomposition
 
 __all__ = [
-    "BlueSelection",
     "Contraction",
     "FallbackRequired",
     "SearchBudgetExceeded",
@@ -93,61 +90,11 @@ def red_closure(g: Graph, p: Partition) -> frozenset[tuple[int, int]]:
     return frozenset(red)
 
 
-@dataclass(frozen=True)
-class BlueSelection:
-    """Per quotient edge {i,j} (i<j): the cross edges a witness may use."""
-
-    sets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    strategy: str
-
-    def kept(self) -> frozenset[int]:
-        """The endpoints of the chosen edges, which the contraction keeps."""
-        return frozenset(v for pairs in self.sets.values() for e in pairs for v in e)
-
-
-def _check_blue_strategy(strategy: str) -> None:
-    if strategy not in ("all", "bounded"):
-        raise ValueError(f"unknown blue strategy {strategy!r}")
-
-
-def select_blue_edges(
-    g: Graph, p: Partition, strategy: str = "all"
-) -> BlueSelection:
-    """strategy "all": every cross edge (certified default).  "bounded": a
-    deterministic subset of size <= 4(2D-1)^2 per part pair, D the quotient
-    degree; its adequacy is enforced by oracle-equivalence tests.  The
-    contraction keeps the chosen edges' endpoints and every input cross edge
-    between them."""
-    _check_blue_strategy(strategy)
-    cross = cross_edges(g, p.part_of())
-    delta = max(quotient_degree(cross), 1)
-    cap = 4 * (2 * delta - 1) ** 2
-    per_endpoint = 2 * delta
-    sets: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for key in sorted(cross):
-        pairs = sorted(cross[key])
-        if strategy == "all":
-            sets[key] = tuple(pairs)
-            continue
-        count: dict[int, int] = {}
-        chosen = []
-        for u, v in pairs:
-            if len(chosen) >= cap:
-                break
-            if count.get(u, 0) >= per_endpoint and count.get(v, 0) >= per_endpoint:
-                continue
-            chosen.append((u, v))
-            count[u] = count.get(u, 0) + 1
-            count[v] = count.get(v, 0) + 1
-        sets[key] = tuple(chosen)
-    return BlueSelection(sets, strategy)
-
-
-class Selection(Protocol):
-    """What a solver's selection rule (select_blue_edges, longpath.mark)
-    hands to the contraction."""
-
-    def kept(self) -> frozenset[int]: ...
+def select_blue_edges(g: Graph, p: Partition) -> frozenset[int]:
+    """The endpoints of every cross edge (the blue edges): the vertices the
+    contraction keeps.  Every input cross edge between them stays in H."""
+    owner = p.part_of()
+    return frozenset(v for e in g.edges() if owner[e[0]] != owner[e[1]] for v in e)
 
 
 @dataclass(frozen=True)
@@ -155,28 +102,25 @@ class Contraction:
     """H, the contraction both solvers solve; see compress."""
 
     h: Graph
-    weights: tuple[int, ...]  # per H vertex: 1, or the size of its set
     origin: tuple[Optional[int], ...]  # H vertex -> input id; None if contracted
     part_of_h: tuple[int, ...]
     u_sets: tuple[tuple[int, ...], ...]  # per part, the vertices contracted
-    contracted: dict[int, int]  # part id -> its contracted H vertex
     raw_parts: frozenset[int]  # the parts kept whole, RAW kinds included
 
 
 def compress(
     g: Graph,
     p: Partition,
-    sel: Selection,
+    keep: frozenset[int],
     raw_parts: frozenset[int] = frozenset(),
 ) -> Contraction:
-    """Build H: every part that is not raw keeps the selected vertices plus
-    one contracted vertex standing for the rest, weighted by their count,
-    and becomes a clique (the red edges of red_closure); raw parts, RAW kinds
-    included, stay whole with their own edges.  H keeps the input cross edges
-    between kept vertices, so a contracted vertex has none.  H vertices are
-    in input-id order, a contracted vertex in the slot of the smallest vertex
-    it stands for."""
-    keep = sel.kept()
+    """Build H: every part that is not raw keeps its vertices in keep plus
+    one contracted vertex standing for the rest, and becomes a clique (the
+    red edges of red_closure); raw parts, RAW kinds included, stay whole
+    with their own edges.  H keeps the input cross edges between kept
+    vertices, so a contracted vertex has none.  H vertices are in input-id
+    order, a contracted vertex in the slot of the smallest vertex it stands
+    for."""
     raw = frozenset(raw_parts) | {i for i, kind in enumerate(p.kinds) if kind == RAW}
     u_sets = tuple(
         () if i in raw else tuple(sorted(part - keep)) for i, part in enumerate(p.parts)
@@ -206,11 +150,9 @@ def compress(
     ]
     return Contraction(
         Graph(len(slots), edges),
-        tuple(len(u_sets[i]) if c else 1 for _, i, c in slots),
         origin,
         part_of_h,
         u_sets,
-        {i: hv for hv, (_, i, c) in enumerate(slots) if c},
         raw,
     )
 
@@ -253,21 +195,19 @@ def _edges_to_sequence(edges: list[tuple[int, int]], kind: str) -> Optional[list
 def _dfs_ham(
     h: Graph,
     kind: str = "path",
-    weights: Optional[Sequence[int]] = None,
     k: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> Optional[Certificate]:
-    """Pruned exhaustive search for a cycle through vertex 0, or a path, of
-    total vertex weight >= k; weights default to 1 and k to h.n, which asks
-    for a Hamiltonian cycle or path.  The first exact step of both solvers:
-    with a budget, it raises SearchBudgetExceeded once it has popped more
-    than budget nodes over all its starts, and the caller goes on to the
-    DP.  Without one it runs to the end, as for small graphs whose
-    decompositions are too wide for the bag DP to pay off."""
+    """Pruned exhaustive search for a cycle through vertex 0, or a path, on
+    at least k vertices; k defaults to h.n, which asks for a Hamiltonian
+    cycle or path.  The first exact step of both solvers: with a budget, it
+    raises SearchBudgetExceeded once it has popped more than budget nodes
+    over all its starts, and the caller goes on to the DP.  Without one it
+    runs to the end, as for small graphs whose decompositions are too wide
+    for the bag DP to pay off."""
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
-    w = [1] * n if weights is None else weights
     target = n if k is None else k
     limit = math.inf if budget is None else budget
     popped = 0
@@ -276,26 +216,26 @@ def _dfs_ham(
     pendants = [v for v in range(n) if h.degree(v) == 1]
     if kind == "cycle":
         starts = [0]
-    elif weights is None and k is None and pendants:
+    elif k is None and pendants:
         # a Hamiltonian path ends at every degree-1 vertex, so one reversed
         # starts at the smallest
         starts = pendants[:1]
     else:
-        starts = sorted(range(n), key=lambda v: -w[v])
+        starts = range(n)
     for s in starts:
-        stack: list[tuple[int, int, int, tuple[int, ...]]] = [(s, 1 << s, w[s], (s,))]
+        stack: list[tuple[int, int, tuple[int, ...]]] = [(s, 1 << s, (s,))]
         while stack:
-            v, used, got, seq = stack.pop()
+            v, used, seq = stack.pop()
             popped += 1
             if popped > limit:
                 raise SearchBudgetExceeded(budget)
-            if got >= target:
+            if len(seq) >= target:
                 if kind == "path" or masks[v] >> s & 1:
-                    # with unit weights and k = n this is a Hamiltonian check
-                    return checked(h, kind, seq, weights=w, target=target)
+                    # with k = n this is a Hamiltonian check
+                    return checked(h, kind, seq, target=target)
                 continue
-            # weight bound: only unvisited vertices reachable from the active
-            # end through unvisited vertices can still contribute
+            # length bound: only unvisited vertices reachable from the active
+            # end through unvisited vertices can still join the path
             free = ~used & full
             frontier = masks[v] & free
             reach = 0
@@ -308,19 +248,13 @@ def _dfs_ham(
                     rest &= rest - 1
                     grow |= masks[u]
                 frontier = grow & free & ~reach
-            bound = got
-            rest = reach
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                bound += w[u]
-            if bound < target:
+            if len(seq) + reach.bit_count() < target:
                 continue
             cand = masks[v] & free
             while cand:
                 u = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
-                stack.append((u, used | (1 << u), got + w[u], seq + (u,)))
+                stack.append((u, used | (1 << u), seq + (u,)))
     return None
 
 
@@ -462,11 +396,7 @@ def _degree_rejects(h: Graph, kind: str) -> bool:
     return h.n > 1 and (0 in degrees or degrees.count(1) > 2)
 
 
-def _solve(g: Graph, cfg: SolverConfig, kind: str,
-           blue_strategy: str = "all") -> Optional[Certificate]:
-    # checked up front: the search on G decides most graphs before
-    # select_blue_edges would see it
-    _check_blue_strategy(blue_strategy)
+def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
     if g.n == 0:
         return None
     if not g.is_connected():
@@ -513,10 +443,10 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
     if len(p.parts) == 1:
         return past_budget(g)
 
-    blue = select_blue_edges(g, p, blue_strategy)
+    keep = select_blue_edges(g, p)
 
     def attempt(raw: frozenset[int]) -> Optional[Certificate]:
-        comp = compress(g, p, blue, raw)
+        comp = compress(g, p, keep, raw)
         cert_h = run_exact(comp.h)
         return None if cert_h is None else reconstruct(g, p, comp, cert_h)
 
@@ -524,12 +454,12 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str,
 
 
 def solve_hamiltonian_cycle(
-    g: Graph, cfg: Optional[SolverConfig] = None, blue_strategy: str = "all"
+    g: Graph, cfg: Optional[SolverConfig] = None
 ) -> Optional[Certificate]:
-    return _solve(g, cfg or SolverConfig(), "cycle", blue_strategy)
+    return _solve(g, cfg or SolverConfig(), "cycle")
 
 
 def solve_hamiltonian_path(
-    g: Graph, cfg: Optional[SolverConfig] = None, blue_strategy: str = "all"
+    g: Graph, cfg: Optional[SolverConfig] = None
 ) -> Optional[Certificate]:
-    return _solve(g, cfg or SolverConfig(), "path", blue_strategy)
+    return _solve(g, cfg or SolverConfig(), "path")

@@ -1,29 +1,26 @@
-"""Long Path via weighted contraction and randomized low-treewidth covers.
+"""Long Path via the shared contraction and randomized low-treewidth covers.
 
-mark selects, per part, the vertices kept individually; build_weighted
-(hamilton.compress, the contraction both solvers share) shrinks every part
-that is not raw to those vertices plus one contracted vertex carrying the
-count of the rest as weight.  Parts of kind RAW, and parts the fallback loop
-made raw, stay whole.  A contracted vertex has no cross edges, so a path of
-total weight >= k in the contraction matches a k-vertex path in the input.
+mark keeps every vertex, so build_weighted (hamilton.compress, the
+contraction both solvers share) contracts nothing: H is G with every part
+that is not raw made a clique.  Parts of kind RAW, and parts the fallback
+loop made raw, keep their own edges.  A path on at least k vertices of H is
+lifted to one of G.
 
 The route, cheapest first: k <= 3 is answered directly; no component of
 the input with k vertices is an exact "no"; then the exhaustive search
 shared with the Hamiltonian solvers (hamilton._dfs_ham, called here as
-_dfs_longpath) decides the contraction under the budget of
-hamilton.SEARCH_NODES popped nodes.  Only when that budget runs out does
-the contraction go on: when its decomposition is at most DP_WIDTH_CAP
-wide, or it has at most 24 vertices, it is decided exactly by the bag DP,
-or, for small wide graphs, by the unbudgeted search.  Otherwise randomized
-ball-carving covers of the twin-completed contraction (_twin_complete)
-select low-treewidth induced subgraphs across repetitions; YES answers are
-certified, NO answers are one-sided.
+_dfs_longpath) decides H under the budget of hamilton.SEARCH_NODES popped
+nodes.  Only when that budget runs out does the route go on: when H's
+decomposition is at most DP_WIDTH_CAP wide, or it has at most 24 vertices,
+it is decided exactly by the bag DP, or, for small wide graphs, by the
+unbudgeted search.  Otherwise randomized ball-carving covers of the
+twin-completed H (_twin_complete) select low-treewidth induced subgraphs
+across repetitions; YES answers are certified, NO answers are one-sided.
 
-A path of the contraction is lifted back by _expand (hamilton.reconstruct,
-the expansion both solvers share), which puts each contracted vertex's set
-in its place and hands the result to the shared lift: linked parts get exact
-spanning linkages, and a part that cannot be lifted is kept raw in the next
-round of the shared fallback loop.
+A path of H is lifted back by _expand (hamilton.reconstruct, the expansion
+both solvers share), which hands it to the shared lift: linked parts get
+exact spanning linkages, and a part that cannot be lifted is kept raw in
+the next round of the shared fallback loop.
 """
 
 from __future__ import annotations
@@ -46,25 +43,20 @@ from .hamilton import (
 )
 # one contraction, one expansion and one exhaustive search for both solvers,
 # bound to names of this module so that perfbench/spans.py, which wraps
-# module globals, tells the long path calls from the Hamiltonian ones
+# module globals, tells the long path calls from the Hamiltonian ones.  The
+# tracer looks its call sites up by name, so build_weighted, mark,
+# weighted_longpath_dp and red_closure keep the names it knows, although no
+# vertex carries a weight.
 from .hamilton import _dfs_ham as _dfs_longpath
 from .hamilton import compress as build_weighted
 from .hamilton import reconstruct as _expand
 # not called here; kept importable for perfbench/spans.py, which wraps them
 from .hamilton import red_closure  # noqa: F401
 from .linkage import find_spanning_linkage  # noqa: F401
-from .partition import (
-    Partition,
-    SolverConfig,
-    cross_edges,
-    kappa_partition,
-    quotient_degree,
-    refine_to_linked,
-)
+from .partition import Partition, SolverConfig, kappa_partition, refine_to_linked
 from .treewidth import TreeDecomposition, heuristic_decomposition
 
 __all__ = [
-    "Marking",
     "CoverSample",
     "mark",
     "build_weighted",
@@ -79,67 +71,32 @@ __all__ = [
 DP_WIDTH_CAP = 10
 
 
-@dataclass(frozen=True)
-class Marking:
-    """Per part, the vertices kept individually after contraction."""
-
-    sets: tuple[frozenset[int], ...]
-    strategy: str
-
-    def kept(self) -> frozenset[int]:
-        return frozenset().union(*self.sets)
+def mark(g: Graph, p: Partition) -> frozenset[int]:
+    """The vertices the contraction keeps: all of them, so no part shrinks."""
+    return frozenset(range(g.n))
 
 
-def mark(g: Graph, p: Partition, strategy: str = "full") -> Marking:
-    """"full" keeps every vertex (no compression).  "bounded" keeps, per
-    quotient-neighbor pair, the endpoints of the 2D+2 lexicographically
-    smallest cross edges (D the quotient degree) plus two extra vertices per
-    part; its adequacy is enforced by oracle-equivalence tests."""
-    if strategy not in ("full", "bounded"):
-        raise ValueError(f"unknown mark strategy {strategy!r}")
-    if strategy == "full":
-        return Marking(tuple(frozenset(part) for part in p.parts), strategy)
-    cross = cross_edges(g, p.part_of())
-    per_pair = 2 * max(quotient_degree(cross), 1) + 2
-    marked: list[set[int]] = [set() for _ in p.parts]
-    for (a, b), pairs in sorted(cross.items()):
-        for u, v in sorted(pairs)[:per_pair]:
-            marked[a].add(u)
-            marked[b].add(v)
-    for i, part in enumerate(p.parts):
-        extras = sorted(part - marked[i])[:2]
-        marked[i].update(extras)
-    return Marking(tuple(frozenset(m) for m in marked), strategy)
-
-
-def _twin_complete(g: Graph, p: Partition, wc: Contraction) -> tuple[Graph, list[int]]:
+def _twin_complete(wc: Contraction) -> tuple[Graph, list[int]]:
     """The graph the cover route carves, and the H vertex of each of its
-    vertices: H plus every input cross edge, a contracted vertex standing for
-    its whole set, with every two parts that are not raw and share a cross
+    vertices: H, which holds every input cross edge since long path keeps
+    every vertex, with every two parts that are not raw and share a cross
     edge made fully adjacent, so that each such part's vertices are true
-    twins.  It is numbered part by part, kept vertices before the contracted
-    one: the carvings start every ball at the lowest remaining vertex, and
-    sweeping the parts in order needed 2.4x fewer repetitions than H's
-    input-id order on 85 solves of dense beta=2 graphs (n=35, k=6 and 12)."""
-    order = sorted(
-        range(wc.h.n), key=lambda hv: (wc.part_of_h[hv], wc.origin[hv] is None, hv)
-    )
+    twins.  It is numbered part by part: the carvings start every ball at
+    the lowest remaining vertex, and sweeping the parts in order needed 2.4x
+    fewer repetitions than H's input-id order on 85 solves of dense beta=2
+    graphs (n=35, k=6 and 12)."""
+    part = wc.part_of_h
+    order = sorted(range(wc.h.n), key=lambda hv: (part[hv], hv))
     at = {hv: x for x, hv in enumerate(order)}
-    to_x = {v: at[hv] for hv, v in enumerate(wc.origin) if v is not None}
-    for i, hv in wc.contracted.items():
-        to_x.update((v, at[hv]) for v in wc.u_sets[i])
     members: dict[int, list[int]] = {}
     for x, hv in enumerate(order):
-        members.setdefault(wc.part_of_h[hv], []).append(x)
+        members.setdefault(part[hv], []).append(x)
     edges = {tuple(sorted((at[a], at[b]))) for a, b in wc.h.edges()}
-    linked: set[tuple[int, int]] = set()
-    owner = p.part_of()
-    for u, v in g.edges():
-        i, j = owner[u], owner[v]
-        if i != j:
-            edges.add(tuple(sorted((to_x[u], to_x[v]))))
-            if i not in wc.raw_parts and j not in wc.raw_parts:
-                linked.add((i, j))
+    linked = {
+        (part[a], part[b])
+        for a, b in wc.h.edges()
+        if part[a] != part[b] and not {part[a], part[b]} & wc.raw_parts
+    }
     for i, j in linked:
         edges.update((min(a, b), max(a, b)) for a in members[i] for b in members[j])
     return Graph(wc.h.n, sorted(edges)), order
@@ -254,21 +211,17 @@ def pattern_cover(
 
 
 def weighted_longpath_dp(
-    h: Graph, weights: list[int], td: TreeDecomposition, k: int
+    h: Graph, td: TreeDecomposition, k: int
 ) -> Optional[Certificate]:
-    """Max-weight path search: a path of total vertex weight >= k, if any."""
-    if h.n == 0:
-        return None
-    best_single = max(range(h.n), key=lambda v: weights[v])
-    if weights[best_single] >= k:
-        return Certificate("path", (best_single,))
+    """A path on at least k >= 2 vertices of h, if any: by the DP over td,
+    or by the unbudgeted search when h is small and td wide."""
     if td.width > 5 and h.n <= 24:
-        return _dfs_longpath(h, weights=weights, k=k)
-    edges = solve_dp(h, td, "longpath", weights=list(weights), target=k)
+        return _dfs_longpath(h, k=k)
+    edges = solve_dp(h, td, "longpath", target=k)
     if edges is None:
         return None
     seq = _edges_to_sequence(edges, "path")
-    return checked(h, "path", seq, weights=weights, target=k)
+    return checked(h, "path", seq, target=k)
 
 
 def _direct_small(g: Graph, k: int) -> Optional[Certificate]:
@@ -293,10 +246,11 @@ def solve_long_path(
     k: int,
     cfg: Optional[SolverConfig] = None,
     seed: int = 0,
-    mark_strategy: str = "full",
 ) -> Optional[Certificate]:
     cfg = cfg or SolverConfig()
-    if k < 1 or g.n < k:
+    if k < 1:
+        raise ValueError(f"k must be >= 1 (got {k})")
+    if g.n < k:
         return None
     if k <= 3:
         return _direct_small(g, k)
@@ -312,24 +266,23 @@ def solve_long_path(
     if exponent < 60:
         schedule = min(cfg.repetition_budget, math.ceil(2.0**exponent))
 
-    marking = mark(g, p, mark_strategy)
+    keep = mark(g, p)
 
     def decide(wc: Contraction) -> Optional[Certificate]:
-        """A path of weight >= k in wc.h, in H ids: by the budgeted search;
-        past its budget by the DP when the contraction is narrow enough, by
-        the cover route otherwise."""
+        """A path on at least k vertices of wc.h, in H ids: by the budgeted
+        search; past its budget by the DP when H is narrow enough, by the
+        cover route otherwise."""
         try:
             # a search that ends without a path is an exact "no", also where
             # the cover route would have run
-            return _dfs_longpath(wc.h, weights=wc.weights, k=k,
-                                 budget=hamilton.SEARCH_NODES)
+            return _dfs_longpath(wc.h, k=k, budget=hamilton.SEARCH_NODES)
         except SearchBudgetExceeded:
             pass
         td_full = heuristic_decomposition(wc.h)
         if td_full.width <= DP_WIDTH_CAP or wc.h.n <= 24:
-            return weighted_longpath_dp(wc.h, list(wc.weights), td_full, k)
+            return weighted_longpath_dp(wc.h, td_full, k)
 
-        h_cross, order = _twin_complete(g, p, wc)
+        h_cross, order = _twin_complete(wc)
         for rep in range(schedule):
             rng = np.random.default_rng(seed + rep)
             s_outer = int(rng.integers(1 << 31))
@@ -353,15 +306,14 @@ def solve_long_path(
                 dtd = heuristic_decomposition(dg)
                 if dtd.width > DP_WIDTH_CAP and dg.n > 24:
                     continue
-                w_sub = [wc.weights[v] for v in dl]
-                cert_sub = weighted_longpath_dp(dg, w_sub, dtd, k)
+                cert_sub = weighted_longpath_dp(dg, dtd, k)
                 if cert_sub is None:
                     continue
                 return Certificate("path", tuple(dl[v] for v in cert_sub.vertices))
         return None
 
     def attempt(raw: frozenset[int]) -> Optional[Certificate]:
-        wc = build_weighted(g, p, marking, raw)
+        wc = build_weighted(g, p, keep, raw)
         cert_h = decide(wc)
         if cert_h is None:
             return None

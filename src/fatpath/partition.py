@@ -13,7 +13,6 @@ build_quotient, on demand.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,6 @@ __all__ = [
     "clique_partition_exact",
     "build_quotient",
     "cross_edges",
-    "quotient_degree",
     "partition_to_json",
     "partition_from_json",
 ]
@@ -108,11 +106,6 @@ def cross_edges(
     return cross
 
 
-def quotient_degree(cross: dict[tuple[int, int], list[tuple[int, int]]]) -> int:
-    """D, the quotient's maximum degree, read from the keys of cross_edges."""
-    return max(Counter(i for pair in cross for i in pair).values(), default=0)
-
-
 def build_quotient(g: Graph, parts: tuple[frozenset[int], ...]) -> QuotientGraph:
     owner = {v: i for i, part in enumerate(parts) for v in part}
     return QuotientGraph(
@@ -144,8 +137,11 @@ class SolverConfig:
     d: int = 2
 
     def __post_init__(self):
-        if self.g_threshold < 1 or self.d < 1:
-            raise ValueError(f"require g_threshold, d >= 1 (got {self.g_threshold}, {self.d})")
+        if min(self.g_threshold, self.d, self.repetition_budget) < 1:
+            raise ValueError(
+                "require g_threshold, d, repetition_budget >= 1 (got "
+                f"{self.g_threshold}, {self.d}, {self.repetition_budget})"
+            )
 
 
 def kappa_partition(g: Graph, order: Optional[list[int]] = None) -> Partition:

@@ -118,14 +118,16 @@ def test_ham_and_partition_take_no_seed(tmp_path, capsys):
     # nor any other flag that no code they run reads
     path, _ = write_k5(tmp_path)
     unread = [["--seed", "1"], ["--lambda", "7"], ["--budget", "5"],
-              ["--cr", "2.0"], ["--crep", "2.0"], ["--d", "3"]]
+              ["--cr", "2.0"], ["--crep", "2.0"], ["--d", "3"],
+              ["--blue-strategy", "all"]]
     for cmd, flag in itertools.product(("ham", "partition"), unread):
         with pytest.raises(SystemExit) as exc:
             main([cmd, path] + flag)
         assert exc.value.code == 2, (cmd, flag)
-    with pytest.raises(SystemExit) as exc:
-        main(["longpath", path, "--k", "4", "--lambda", "7"])
-    assert exc.value.code == 2
+    for flag in (["--lambda", "7"], ["--mark-strategy", "full"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["longpath", path, "--k", "4"] + flag)
+        assert exc.value.code == 2, flag
     # outer_cover reads neither pattern-cover flag
     capsys.readouterr()
     for flag in (["--d", "2"], ["--cr", "4.0"]):
@@ -145,6 +147,18 @@ def test_longpath_exit_codes(tmp_path):
     p.write_text(write_graph(g))
     assert run(["longpath", str(p), "--k", "6"])[0] == 0
     assert run(["longpath", str(p), "--k", "7"])[0] == 1
+    # a path on at least 0 vertices always exists: k < 1 is an input error,
+    # never a "no"
+    for k in ("0", "-2"):
+        assert run(["longpath", str(p), "--k", k]) == (2, ""), k
+
+
+def test_nonpositive_budget_is_an_input_error(tmp_path, capsys):
+    # a cover route with no repetition would report its one-sided "no"
+    path, _ = write_k5(tmp_path)
+    for budget in ("0", "-5"):
+        assert run(["longpath", path, "--k", "4", "--budget", budget]) == (2, ""), budget
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_zero_d_is_an_input_error(tmp_path, capsys):

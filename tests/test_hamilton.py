@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpath import hamilton
@@ -68,34 +67,22 @@ def test_red_closure_parts_complete():
                 assert sub.has_edge(u, v) != ((u, v) in red)
 
 
-def test_blue_single_cross_edge_both_strategies():
+def test_blue_single_cross_edge_keeps_its_endpoints():
     # two triangles joined by one edge
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
     p = refined(g)
-    for strategy in ("all", "bounded"):
-        blue = select_blue_edges(g, p, strategy)
-        assert sum(len(v) for v in blue.sets.values()) == 1
-
-
-def test_blue_bounded_cap():
-    for seed in range(10):
-        g = random_graph(16, 0.4, seed)
-        comp = max(g.components(), key=len)
-        sub, _ = g.induced(comp)
-        p = refined(sub)
-        from fatpath.partition import build_quotient
-        q = build_quotient(sub, p.parts)
-        delta = max(q.graph.max_degree(), 1)
-        blue = select_blue_edges(sub, p, "bounded")
-        for pairs in blue.sets.values():
-            assert len(pairs) <= 4 * (2 * delta - 1) ** 2
+    assert sorted(map(sorted, p.parts)) == [[0, 1, 2], [3, 4, 5]]
+    assert select_blue_edges(g, p) == {2, 3}
+    comp = compress(g, p, select_blue_edges(g, p))
+    # each triangle keeps its cross-edge endpoint and contracts the other two
+    assert comp.origin == (None, 2, 3, None)
+    assert comp.u_sets in (((0, 1), (4, 5)), ((4, 5), (0, 1)))
 
 
 def test_compress_all_blue_incident_keeps_everything():
     g = cycle(6)
     p = refined(g, SolverConfig(g_threshold=2))
-    blue = select_blue_edges(g, p, "all")
-    comp = compress(g, p, blue)
+    comp = compress(g, p, select_blue_edges(g, p))
     # every vertex of C6 has a cross edge, so nothing is dropped
     assert comp.h.n == 6
 
@@ -109,13 +96,11 @@ def test_compress_interior_dropped():
     g = Graph(11, edges)
     p = Partition((frozenset(range(8)), frozenset({8, 9, 10})),
                   (CLIQUE, CLIQUE), (None, None))
-    blue = select_blue_edges(g, p, "all")
-    comp = compress(g, p, blue)
+    comp = compress(g, p, select_blue_edges(g, p))
     assert comp.h.n == 4  # two blue endpoints plus two contracted vertices
     assert comp.u_sets == (tuple(range(1, 8)), (9, 10))
     # in input-id order, a contracted vertex in its smallest vertex's slot
     assert comp.origin == (0, None, 8, None)
-    assert comp.weights == (1, 7, 1, 2)
     assert sorted(comp.h.edges()) == [(0, 1), (0, 2), (2, 3)]
 
 
@@ -172,8 +157,7 @@ def test_dp_matches_held_karp(seed):
 def test_reconstruct_identity_when_uncompressed():
     g = cycle(6)
     p = refined(g, SolverConfig(g_threshold=2))
-    blue = select_blue_edges(g, p, "all")
-    comp = compress(g, p, blue)
+    comp = compress(g, p, select_blue_edges(g, p))
     cert_h = hamiltonian_cycle_dp(comp.h, heuristic_decomposition(comp.h))
     cert = reconstruct(g, p, comp, cert_h)
     assert cert.validate(g, hamiltonian=True)
@@ -257,7 +241,7 @@ def test_solve_matches_oracle_geometric():
             assert mine.validate(g, hamiltonian=True)
 
 
-def test_bounded_strategy_matches_oracle(monkeypatch):
+def test_pipeline_matches_oracle_past_the_budget(monkeypatch):
     # the search on G would decide every case before the blue selection;
     # with no budget the pipeline runs
     monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
@@ -269,7 +253,8 @@ def test_bounded_strategy_matches_oracle(monkeypatch):
         cases.append((random_graph(n, rng.uniform(0.25, 0.7), 7000 + seed),
                       SolverConfig()))
     # at g_threshold=1 every Hamiltonian cycle and path of this graph uses a
-    # cross edge between two kept vertices that the bounded selection skips
+    # cross edge whose endpoints both have other cross edges, so H must keep
+    # every input cross edge between kept vertices
     cases.append((Graph(10, [
         (0, 1), (0, 2), (0, 7), (0, 8), (0, 9), (1, 2), (1, 5), (1, 6), (1, 7),
         (1, 8), (1, 9), (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
@@ -280,14 +265,14 @@ def test_bounded_strategy_matches_oracle(monkeypatch):
         for solve, oracle in ((solve_hamiltonian_cycle, held_karp_cycle),
                               (solve_hamiltonian_path, held_karp_path)):
             calls.clear()
-            mine = solve(g, cfg, blue_strategy="bounded")
+            mine = solve(g, cfg)
             assert (mine is None) == (oracle(g) is None)
             if mine is not None:
                 assert mine.validate(g, hamiltonian=True)
-            reached.append([args[2] for args in calls])
-    # both solves of the hand-built graph, and so its skipped cross edge,
-    # reach the bounded selection, as do most of the random cases
-    assert reached[-2:] == [["bounded"], ["bounded"]], reached[-2:]
+            reached.append(len(calls))
+    # both solves of the hand-built graph reach the blue selection, as do
+    # most of the random cases
+    assert reached[-2:] == [1, 1], reached[-2:]
     assert sum(bool(r) for r in reached) > len(reached) // 2, reached
 
 
@@ -325,6 +310,3 @@ def test_route_decides_g_before_the_partition(monkeypatch):
         monkeypatch.setattr(hamilton, name, unreachable)
     for kind, solve in (("cycle", solve_hamiltonian_cycle), ("path", solve_hamiltonian_path)):
         assert solve(k(30)) == Certificate(kind, tuple(range(30)))
-        # an unknown blue strategy is rejected before any route is taken
-        with pytest.raises(ValueError):
-            solve(k(30), blue_strategy="unknown")

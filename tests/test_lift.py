@@ -16,7 +16,7 @@ import pytest
 
 import fatpath
 from fatpath import hamilton, longpath
-from fatpath.certificates import CertificateError
+from fatpath.certificates import CertificateError, checked
 from fatpath.graphs import Graph
 from fatpath.oracle import held_karp_cycle, held_karp_path, longest_path_exact
 from fatpath.partition import RAW, SolverConfig, kappa_partition, refine_to_linked
@@ -48,14 +48,15 @@ def test_contraction_invariants():
         sub, _ = g.induced(max(g.components(), key=len))
         p = refine_to_linked(sub, kappa_partition(sub), SolverConfig())[0]
         owner = p.part_of()
-        selections = [hamilton.select_blue_edges(sub, p, s) for s in ("all", "bounded")]
-        selections += [longpath.mark(sub, p, s) for s in ("full", "bounded")]
-        for sel, raw in itertools.product(selections, (frozenset(), frozenset({0}))):
-            c = hamilton.compress(sub, p, sel, raw)
+        # the Hamiltonian kept set contracts the vertices without a cross
+        # edge; long path keeps every vertex and contracts nothing
+        keeps = [hamilton.select_blue_edges(sub, p), longpath.mark(sub, p)]
+        assert keeps[1] == frozenset(range(sub.n))
+        for keep, raw in itertools.product(keeps, (frozenset(), frozenset({0}))):
+            c = hamilton.compress(sub, p, keep, raw)
             h = c.h
             raw_kinds = {i for i, kind in enumerate(p.kinds) if kind == RAW}
             assert c.raw_parts == raw | raw_kinds
-            assert sum(c.weights) == sub.n
             # origin and u_sets partition V(G)
             kept = [v for v in c.origin if v is not None]
             contracted = [v for us in c.u_sets for v in us]
@@ -65,12 +66,15 @@ def test_contraction_invariants():
             slots = [c.u_sets[i][0] if v is None else v
                      for v, i in zip(c.origin, c.part_of_h)]
             assert slots == sorted(slots)
+            # one contracted vertex per part with a nonempty set
+            contracted_hv = [hv for hv, v in enumerate(c.origin) if v is None]
+            assert sorted(c.part_of_h[hv] for hv in contracted_hv) == [
+                i for i, us in enumerate(c.u_sets) if us]
+            if keep == frozenset(range(sub.n)):
+                assert contracted_hv == []
             for hv, v in enumerate(c.origin):
-                if v is None:
-                    assert c.contracted[c.part_of_h[hv]] == hv
-                    assert c.weights[hv] == len(c.u_sets[c.part_of_h[hv]])
-                else:
-                    assert c.part_of_h[hv] == owner[v] and c.weights[hv] == 1
+                if v is not None:
+                    assert c.part_of_h[hv] == owner[v]
             members = {}
             for hv, i in enumerate(c.part_of_h):
                 members.setdefault(i, []).append(hv)
@@ -83,8 +87,8 @@ def test_contraction_invariants():
                         assert h.has_edge(a, b) == sub.has_edge(
                             c.origin[a], c.origin[b])
                 else:
-                    # the selected vertices plus a clique
-                    assert kept_i == p.parts[i] & sel.kept()
+                    # the kept vertices plus a clique
+                    assert kept_i == p.parts[i] & keep
                     for a, b in itertools.combinations(vs, 2):
                         assert h.has_edge(a, b)
             # H's cross edges are exactly the G edges between kept vertices
@@ -94,7 +98,7 @@ def test_contraction_invariants():
             cross_g = {tuple(sorted((to_h[u], to_h[v]))) for u, v in sub.edges()
                        if owner[u] != owner[v] and u in to_h and v in to_h}
             assert cross_h == cross_g
-            assert not {v for e in cross_h for v in e} & set(c.contracted.values())
+            assert not {v for e in cross_h for v in e} & set(contracted_hv)
 
 
 def test_fallback_rounds_match_oracles(monkeypatch):
@@ -143,12 +147,20 @@ def test_corrupt_dp_witness_raises_certificate_error(monkeypatch):
 
 
 def test_corrupt_longpath_witness_raises_certificate_error(monkeypatch):
-    # a 5-vertex path of K5 that uses non-edges of P6
-    monkeypatch.setattr(longpath, "solve_dp",
-                        lambda *args, **kwargs: [(0, 2), (2, 4), (4, 1), (1, 3)])
     p6 = Graph(6, [(i, i + 1) for i in range(5)])
+    # a 5-vertex path of K5 that uses non-edges of P6, and a path of P6 on
+    # fewer than the 5 vertices asked for
+    for corrupt in ([(0, 2), (2, 4), (4, 1), (1, 3)], [(0, 1), (1, 2)]):
+        monkeypatch.setattr(longpath, "solve_dp", lambda *args, **kwargs: corrupt)
+        with pytest.raises(CertificateError):
+            longpath.weighted_longpath_dp(p6, heuristic_decomposition(p6), 5)
+
+
+def test_checked_counts_vertices_without_weights():
+    p3 = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(CertificateError):
-        longpath.weighted_longpath_dp(p6, [1] * 6, heuristic_decomposition(p6), 5)
+        checked(p3, "path", [0, 1], target=3)
+    assert checked(p3, "path", [0, 1, 2], target=3).vertices == (0, 1, 2)
 
 
 def test_certificate_check_survives_python_O():
@@ -161,6 +173,17 @@ def test_certificate_check_survives_python_O():
         "c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])\n"
         "try:\n"
         "    hamilton.solve_hamiltonian_cycle(c5)\n"
+        "except CertificateError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit(1)\n"
+        "# a valid path of P6 on fewer than the 5 vertices asked for\n"
+        "from fatpath import longpath\n"
+        "from fatpath.treewidth import heuristic_decomposition\n"
+        "longpath.solve_dp = lambda *a, **k: [(0, 1), (1, 2)]\n"
+        "p6 = Graph(6, [(i, i + 1) for i in range(5)])\n"
+        "try:\n"
+        "    longpath.weighted_longpath_dp(p6, heuristic_decomposition(p6), 5)\n"
         "except CertificateError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

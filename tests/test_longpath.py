@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fatpath import longpath
+from fatpath import hamilton, longpath
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
 from fatpath.longpath import (
@@ -51,39 +51,26 @@ def pipeline(g, cfg=None):
 def test_mark_full_keeps_all():
     g = random_graph(12, 0.4, 1)
     p = pipeline(g)
-    m = mark(g, p, "full")
-    assert all(m.sets[i] == p.parts[i] for i in range(len(p.parts)))
-
-
-def test_mark_bounded_single_cross_edge():
-    # two triangles, one cross edge: its endpoints plus two extras per part
-    g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-    p = pipeline(g)
-    m = mark(g, p, "bounded")
-    for i, part in enumerate(p.parts):
-        endpoint = part & {2, 3}
-        assert endpoint <= m.sets[i]
-        assert len(m.sets[i]) == min(len(part), len(endpoint) + 2)
+    assert mark(g, p) == frozenset(range(g.n))
 
 
 def test_build_weighted_full_marking_no_contraction():
     g = random_graph(10, 0.4, 2)
     p = pipeline(g)
-    wc = build_weighted(g, p, mark(g, p, "full"))
-    assert wc.contracted == {}
-    assert all(w == 1 for w in wc.weights)
-    assert wc.h.n == _twin_complete(g, p, wc)[0].n == g.n
+    wc = build_weighted(g, p, mark(g, p))
+    assert wc.origin == tuple(range(g.n))
+    assert all(us == () for us in wc.u_sets)
+    assert wc.h.n == _twin_complete(wc)[0].n == g.n
 
 
 def test_build_weighted_single_part_contraction():
+    # K7 is one part without cross edges, so the Hamiltonian kept set is
+    # empty and the whole part contracts to one vertex
     g = k(7)
     p = pipeline(g)
-    m = mark(g, p, "bounded")
-    wc = build_weighted(g, p, m)
-    # no cross edges: only the two extras are marked; the rest contracts
-    assert len(wc.contracted) == 1
-    v = wc.contracted[0]
-    assert wc.weights[v] == 5
+    wc = build_weighted(g, p, hamilton.select_blue_edges(g, p))
+    assert wc.h.n == 1 and wc.origin == (None,)
+    assert wc.u_sets == (tuple(range(7)),)
 
 
 def test_build_weighted_keeps_raw_parts_whole():
@@ -92,9 +79,9 @@ def test_build_weighted_keeps_raw_parts_whole():
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     p = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})),
                   (RAW, RAW), (None, None))
-    for strategy in ("full", "bounded"):
-        wc = build_weighted(g, p, mark(g, p, strategy))
-        assert wc.contracted == {}
+    for keep in (mark(g, p), hamilton.select_blue_edges(g, p)):
+        wc = build_weighted(g, p, keep)
+        assert wc.u_sets == ((), ()) and wc.origin == tuple(range(6))
         assert sorted(wc.h.edges()) == sorted(g.edges())
 
 
@@ -105,22 +92,18 @@ def test_twin_completion():
         sub, _ = g.induced(comp)
         p = pipeline(sub)
         for raw in (frozenset(), frozenset({0})):
-            wc = build_weighted(sub, p, mark(sub, p, "bounded"), raw)
-            hc, order = _twin_complete(sub, p, wc)
+            wc = build_weighted(sub, p, mark(sub, p), raw)
+            hc, order = _twin_complete(wc)
             at = {hv: x for x, hv in enumerate(order)}
             assert sorted(order) == list(range(wc.h.n))
             # numbered part by part
             assert [wc.part_of_h[hv] for hv in order] == sorted(wc.part_of_h)
             for a, b in wc.h.edges():
                 assert hc.has_edge(at[a], at[b])
-            # every input cross edge is there, a contracted vertex standing
-            # for its whole set
-            to_h = {v: hv for hv, v in enumerate(wc.origin) if v is not None}
-            for i, hv in wc.contracted.items():
-                to_h.update((v, hv) for v in wc.u_sets[i])
+            # every input edge is there, H's ids being the input ids
+            assert wc.origin == tuple(range(sub.n))
             for u, v in sub.edges():
-                if to_h[u] != to_h[v]:
-                    assert hc.has_edge(at[to_h[u]], at[to_h[v]])
+                assert hc.has_edge(at[u], at[v])
             # the vertices of a part that is not raw are true twins towards
             # every part that is not raw
             members = {}
@@ -207,14 +190,8 @@ def test_pattern_cover_abort_path():
 def test_weighted_dp_path_graph():
     g = path(6)
     td = heuristic_decomposition(g)
-    cert = weighted_longpath_dp(g, [1] * 6, td, 6)
+    cert = weighted_longpath_dp(g, td, 6)
     assert cert is not None and len(cert.vertices) == 6
-
-
-def test_weighted_dp_single_heavy_vertex():
-    g = Graph(1, [])
-    cert = weighted_longpath_dp(g, [7], heuristic_decomposition(g), 7)
-    assert cert is not None and cert.vertices == (0,)
 
 
 def test_weighted_dp_matches_oracle():
@@ -222,14 +199,14 @@ def test_weighted_dp_matches_oracle():
         rng = random.Random(seed)
         n = rng.randint(2, 9)
         g = random_graph(n, rng.uniform(0.2, 0.7), seed)
-        w = [rng.randint(1, 5) for _ in range(n)]
-        best, _ = longest_path_exact(g, w)
+        best, _ = longest_path_exact(g)
         td = heuristic_decomposition(g)
-        for target in {1, best, best + 1}:
-            cert = weighted_longpath_dp(g, w, td, target)
-            assert (cert is not None) == (target <= best)
+        # a path on two or more vertices has an edge, which the DP needs
+        for target in {2, max(best, 2), best + 1}:
+            cert = weighted_longpath_dp(g, td, target)
+            assert (cert is not None) == (target <= best), (seed, target)
             if cert is not None:
-                assert sum(w[v] for v in cert.vertices) >= target
+                assert cert.validate(g) and len(cert) >= target, (seed, target)
 
 
 def test_solve_k1_target():
@@ -247,6 +224,13 @@ def test_solve_p20_full_recovery():
 
 def test_solve_too_large_k():
     assert solve_long_path(path(5), 6) is None
+
+
+def test_solve_rejects_k_below_one():
+    # every path has at least 0 vertices, so k < 1 asks no question
+    for k_ in (0, -2):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            solve_long_path(path(5), k_)
 
 
 def test_solve_rejects_without_a_k_vertex_component(monkeypatch):

@@ -2,9 +2,8 @@
 
 The Hamiltonian solvers call it as ``hamilton._dfs_ham`` and the long path
 solver as ``longpath._dfs_longpath``; both names are checked here on
-G(n,p) graphs against the oracles and against a path enumeration, along
-with its node budget and the solvers' fallback to the DP when the budget
-runs out.
+G(n,p) graphs against the oracles, along with its node budget and the
+solvers' fallback to the DP when the budget runs out.
 """
 
 import itertools
@@ -29,9 +28,9 @@ def gnp_cases(count, n_max, base):
         yield seed, random_graph(rng.randint(6, n_max), rng.uniform(0.2, 0.8), seed)
 
 
-def max_path_weight(g, weights):
-    """The largest total weight of a simple path, by enumerating every
-    (vertex set, end) pair a path can reach."""
+def max_path_vertices(g):
+    """The most vertices on a simple path, by enumerating every (vertex set,
+    end) pair a path can reach."""
     adj = g.adjacency_masks()
     seen = {(1 << v, v) for v in range(g.n)}
     stack = list(seen)
@@ -45,8 +44,7 @@ def max_path_weight(g, weights):
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
-    return max(sum(weights[v] for v in range(g.n) if mask >> v & 1)
-               for mask, _ in seen)
+    return max(mask.bit_count() for mask, _ in seen)
 
 
 def test_hamiltonian_search_matches_held_karp():
@@ -63,23 +61,10 @@ def test_unit_weight_search_matches_longest_path():
     for seed, g in gnp_cases(60, 14, 9100):
         best, _ = longest_path_exact(g)
         for k in (best - 1, best, best + 1):
-            cert = longpath._dfs_longpath(g, weights=[1] * g.n, k=k)
+            cert = longpath._dfs_longpath(g, k=k)
             assert (cert is None) == (k > best), (seed, k)
             if cert is not None:
                 assert cert.validate(g) and len(cert) >= k, (seed, k)
-
-
-def test_weighted_search_matches_enumeration():
-    for seed, g in gnp_cases(60, 14, 9200):
-        rng = random.Random(seed)
-        weights = [rng.randint(1, 3) for _ in range(g.n)]
-        best = max_path_weight(g, weights)
-        for k in (best - 1, best, best + 1):
-            cert = longpath._dfs_longpath(g, weights=weights, k=k)
-            assert (cert is None) == (k > best), (seed, k)
-            if cert is not None:
-                assert cert.validate(g), (seed, k)
-                assert sum(weights[v] for v in cert.vertices) >= k, (seed, k)
 
 
 def test_hamiltonian_path_search_starts_at_a_pendant():
@@ -104,9 +89,7 @@ def test_budget_counts_popped_nodes():
     with pytest.raises(hamilton.SearchBudgetExceeded):
         hamilton._dfs_ham(single, "path", budget=0)
     for seed, g in gnp_cases(30, 12, 9300):
-        weights = [random.Random(seed).randint(1, 3) for _ in range(g.n)]
-        calls = [dict(kind="cycle"), dict(kind="path"),
-                 dict(weights=weights, k=max_path_weight(g, weights))]
+        calls = [dict(kind="cycle"), dict(kind="path"), dict(k=max_path_vertices(g))]
         for call in calls:
             full = hamilton._dfs_ham(g, **call)
 
