@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,3 +145,87 @@ def test_intersection_symmetric_irreflexive(seed):
         assert u != v
         assert objects_intersect(inst.objects[u], inst.objects[v])
         assert objects_intersect(inst.objects[v], inst.objects[u])
+
+
+# ------------------------------------------------ generator golden output
+
+GOLDEN_N_SEEDS = ((1, 0), (2, 3), (7, 1), (40, 5), (40, 12))
+
+
+def _golden_digest(d: int, beta: float) -> str:
+    """sha256 over the JSON of every instance of one (d, beta) cell."""
+    h = hashlib.sha256()
+    for mix in (0.0, 0.5, 1.0):
+        for n, seed in GOLDEN_N_SEEDS:
+            side = 1.7 * math.sqrt(n) + d
+            h.update(instance_to_json(generate_instance(d, beta, n, side, mix, seed)).encode())
+    return h.hexdigest()
+
+
+# recorded from the scalar-draw generator (one numpy call per value), so a
+# rewrite of the draws must reproduce its objects bit for bit
+GOLDEN = {
+    (1, 1.0): "0cdda80dcac67429b7cbb950a4fa50e9babfe7b136e70d19077a9f6c083fbd0e",
+    (1, 2.0): "e8cc12b694eaf54b2d15605a49d3fa1ab2747acc7f58c760b28c9974ab200309",
+    (1, 2.5): "2db6861553bac6ea397657e62a9cf91806f3e3e342be0f5e3101e9928ca5667b",
+    (2, 1.0): "f8aa3aaff2e87a3c6094e34e54c1050e051519915b5aee68bac56f650ba3a29e",
+    (2, 2.0): "1c0ed603f56cac7096c98aefa0c4593ba8b9110fcce97c7cc8d895c3a453595a",
+    (2, 2.5): "13784253ab049a956930c347465b2f0f25c56135123fde2ce2884055b70ceb7a",
+    (3, 1.0): "045e38ec5e92ec6b0b72010617af6546866167b095272500efff1ffbc831d833",
+    (3, 2.0): "2ec7b5964fecaaea492ae18075b13c88482fcc9841b87680a610637b591c99ee",
+    (3, 2.5): "a9ec668522c5bc7cf6bbb8f8225cd9e0234061dcc294e8304addab092e1b3d75",
+}
+
+
+@pytest.mark.parametrize("d,beta", sorted(GOLDEN))
+def test_generator_matches_golden_hashes(d, beta):
+    assert _golden_digest(d, beta) == GOLDEN[d, beta]
+
+
+# ----------------------------------------- intersection graph vs all pairs
+
+
+def _random_objects(rng: random.Random, d: int, beta: float, n: int) -> list:
+    """Unsnapped random objects with duplicate centres, shared first
+    coordinates and pairs that touch along the first axis."""
+    hmax = beta / math.sqrt(d)
+    side = rng.uniform(0.5, 3.0) * max(1.0, n ** (1.0 / d))
+    objs = []
+    for i in range(n):
+        center = [rng.uniform(-side, side) for _ in range(d)]
+        roll = rng.random()
+        if objs and roll < 0.15:
+            center = list(rng.choice(objs).center)  # duplicate centre
+        elif objs and roll < 0.3:
+            center[0] = rng.choice(objs).center[0]  # equal first coordinate
+        if hmax >= 1.0 and rng.random() < 0.5:
+            obj = Box(tuple(center), tuple(rng.uniform(1.0, hmax) for _ in range(d)))
+        else:
+            obj = Ball(tuple(center), rng.choice((1.0, beta, rng.uniform(1.0, beta))))
+        if objs and 0.3 <= roll < 0.45:
+            # touch a previous object along the first axis
+            other = rng.choice(objs)
+            reach = (obj.radius if isinstance(obj, Ball) else obj.half_extents[0]) + (
+                other.radius if isinstance(other, Ball) else other.half_extents[0])
+            moved = (other.center[0] + reach,) + other.center[1:]
+            obj = Ball(moved, obj.radius) if isinstance(obj, Ball) else Box(moved, obj.half_extents)
+        objs.append(obj)
+    return objs
+
+
+def test_intersection_graph_matches_all_pairs_reference():
+    rng = random.Random(2024)
+    cases = [(d, n) for d in (1, 2, 3) for n in (0, 1, 2)]
+    cases += [(rng.randint(1, 3), rng.randint(3, 60)) for _ in range(150)]
+    for case, (d, n) in enumerate(cases):
+        beta = rng.choice((1.0, 1.5, 2.0, 3.0))
+        inst = GeometricInstance(d, beta, tuple(_random_objects(rng, d, beta, n)))
+        g = intersection_graph(inst)
+        objs = inst.objects
+        ref = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if objects_intersect(objs[i], objs[j])])
+        assert g.n == ref.n and g.m == ref.m, case
+        # the same sets in the same iteration order: solvers walk neighbours
+        # in frozenset order, so the order decides their certificates
+        assert [list(g.neighbors(v)) for v in range(n)] == [
+            list(ref.neighbors(v)) for v in range(n)], case
