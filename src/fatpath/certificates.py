@@ -58,15 +58,13 @@ def checked(
     kind: str,
     seq: Optional[Sequence[int]],
     hamiltonian: bool = False,
-    weights: Optional[Sequence[int]] = None,
     target: int = 0,
 ) -> Certificate:
     """The certificate for seq, if it validates on g and has at least target
-    vertices (with weights, total weight >= target); CertificateError
-    otherwise.  An explicit check, so it also holds under ``python -O``."""
+    vertices; CertificateError otherwise.  An explicit check, so it also
+    holds under ``python -O``."""
     if seq is not None:
         cert = Certificate(kind, tuple(seq))
-        size = len(cert) if weights is None else sum(weights[v] for v in cert.vertices)
-        if cert.validate(g, hamiltonian) and size >= target:
+        if cert.validate(g, hamiltonian) and len(cert) >= target:
             return cert
     raise CertificateError(f"{kind} witness {seq} does not validate")

@@ -52,7 +52,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _load_instance(path: str) -> geometry.GeometricInstance:
     try:
         return geometry.instance_from_json(_read_text(path))
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise InputError(f"malformed instance {path}: {exc!r}")
 
 

@@ -4,6 +4,16 @@ Objects are balls or axis-aligned boxes in abstract units where every object
 contains a unit ball and fits inside a radius-beta ball.  Generated centers
 are snapped to a 2^-20 grid so that floating-point predicates agree with an
 exact rational re-evaluation (the test oracle relies on this).
+
+`intersection_graph` sweeps along the first axis.  With the objects sorted by
+their first coordinate, object i can meet only the later objects within
+r_i + r_max of it (r: circumscribed radius).  The objects are similarly
+sized, so at a fixed density in a cube that window is a slab holding
+O(n^(1-1/d)) objects, and the sweep lists O(n^(2-1/d)) pairs, not n^2/2.
+The window pairs are built in chunks of at most max(CHUNK_PAIRS, n) pairs, so
+the sweep holds O(n) memory however many pairs there are; a
+circumscribed-ball test in numpy drops most pairs, and `objects_intersect`
+decides the rest.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -31,11 +41,22 @@ __all__ = [
 ]
 
 GRID = 1 << 20  # coordinate grid resolution: multiples of 2^-20
+CHUNK_PAIRS = 1 << 16  # sweep pairs held at once, or n if that is more
 
 
-def snap(x: float) -> float:
-    """Round to the nearest multiple of 2^-20 (exact in binary floating point)."""
-    return round(x * GRID) / GRID
+def snap(x: np.ndarray) -> np.ndarray:
+    """Round to the nearest multiple of 2^-20 (exact in binary floating point),
+    halves to even as Python's round does."""
+    return np.rint(x * GRID) / GRID
+
+
+def _finite(*values: float) -> bool:
+    """True iff every value is a finite number; an int too large for a float
+    is not."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -109,34 +130,65 @@ class GeometricInstance:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dimension < 1 or self.beta < 1:
-            raise ValueError("require dimension >= 1 and beta >= 1")
+        if self.dimension < 1 or not _finite(self.beta) or self.beta < 1:
+            raise ValueError("require dimension >= 1 and a finite beta >= 1")
+        # a non-finite size fails the fatness check below
+        if not _finite(*chain.from_iterable(obj.center for obj in self.objects)):
+            raise ValueError("object centers must be finite")
         for i, obj in enumerate(self.objects):
             if not validate_fatness(obj, self.beta, self.dimension):
                 raise ValueError(f"object {i} fails the fatness check")
 
 
+def _circumradius(obj: FatObject) -> float:
+    if isinstance(obj, Ball):
+        return obj.radius
+    return math.sqrt(sum(h * h for h in obj.half_extents))
+
+
 def intersection_graph(inst: GeometricInstance) -> Graph:
-    """Edge {i,j} iff objects i and j intersect (closed sets)."""
+    """Edge {i,j} iff objects i and j intersect (closed sets).
+
+    A sweep along the first axis (module docstring) lists the candidate
+    pairs; the edges reach Graph in ascending (i, j) order, which fixes the
+    iteration order of every neighbour set.
+    """
     objs = inst.objects
     n = len(objs)
-    # coarse prune on circumscribed balls before the exact pairwise predicate
+    if n < 2:
+        return Graph(n, [])
     centers = np.array([o.center for o in objs], dtype=float)
-    radii = np.array(
-        [
-            o.radius if isinstance(o, Ball) else math.sqrt(sum(h * h for h in o.half_extents))
-            for o in objs
-        ]
-    )
-    edges = []
-    for i in range(n):
-        if n > 1:
-            d2 = np.sum((centers[i + 1 :] - centers[i]) ** 2, axis=1)
-            reach = (radii[i + 1 :] + radii[i]) ** 2
-            for off in np.nonzero(d2 <= reach)[0]:
-                j = i + 1 + int(off)
-                if objects_intersect(objs[i], objs[j]):
-                    edges.append((i, j))
+    radii = np.array([_circumradius(o) for o in objs])
+    order = np.argsort(centers[:, 0], kind="stable")
+    xs = centers[order, 0]
+    reach = radii[order] + radii.max()
+    # widened far past the rounding of xs + reach, so that the float
+    # comparison can only admit extra pairs, which the ball test drops
+    ends = np.searchsorted(xs, xs + reach + 1e-9 * (np.abs(xs) + reach), side="right")
+    counts = ends - np.arange(1, n + 1)  # later objects in each window
+    last = np.cumsum(counts)  # pairs up to and including each sorted row
+    keys = []
+    cap = max(CHUNK_PAIRS, n)  # a row has at most n - 1 pairs, so every chunk gains one
+    row = 0
+    while row < n:
+        done = int(last[row - 1]) if row else 0
+        stop = int(np.searchsorted(last, done + cap, side="right"))
+        c = counts[row:stop]
+        a = np.repeat(np.arange(row, stop), c)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(c) - c, c)
+        i, j = order[a], order[b]
+        # coarse prune on circumscribed balls before the exact pairwise predicate
+        d2 = np.sum((centers[j] - centers[i]) ** 2, axis=1)
+        near = d2 <= (radii[j] + radii[i]) ** 2
+        i, j = i[near], j[near]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        row = stop
+    pairs = np.sort(np.concatenate(keys))
+    edges = [
+        (i, j)
+        for i, j in zip((pairs // n).tolist(), (pairs % n).tolist())
+        if objects_intersect(objs[i], objs[j])
+    ]
     return Graph(n, edges)
 
 
@@ -155,23 +207,37 @@ def generate_instance(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if not _finite(beta) or beta < 1:
+        raise ValueError("beta must be finite and >= 1")
+    if not _finite(box_side) or box_side < 0:
+        raise ValueError("box_side must be finite and >= 0")
     rng = np.random.default_rng(seed)
     boxes_possible = beta >= math.sqrt(d)  # h_i >= 1 forces circumradius >= sqrt(d)
+    # half-extents in [1, beta/sqrt(d)] keep the circumradius <= beta
+    hmax = beta / math.sqrt(d)
+    # One block of draws, read in the order of one Generator.uniform call per
+    # value: per object d center values, one shape value, then a radius or d
+    # half-extents; the block covers the longest case.  Generator.uniform(lo,
+    # hi) is lo + (hi - lo) * u on the same draws, so each kind of value is
+    # computed for every draw and the loop reads the ones it needs.
+    u = rng.random(n * (2 * d + 1))
+    coord = snap(0.0 + (box_side - 0.0) * u).tolist()
+    radius = np.clip(snap(1.0 + (beta - 1.0) * u), 1.0, beta).tolist()
+    half = np.clip(snap(1.0 + (hmax - 1.0) * u), 1.0, hmax).tolist()
+    shape = u.tolist()
     objects: list[FatObject] = []
+    at = 0
     for _ in range(n):
-        center = tuple(snap(float(x)) for x in rng.uniform(0.0, box_side, size=d))
-        is_ball = rng.uniform() < shape_mix or not boxes_possible
-        if is_ball:
-            r = snap(float(rng.uniform(1.0, beta)))
-            objects.append(Ball(center, min(max(r, 1.0), beta)))
+        center = tuple(coord[at:at + d])
+        at += d + 1
+        if shape[at - 1] < shape_mix or not boxes_possible:
+            objects.append(Ball(center, radius[at]))
+            at += 1
         else:
-            # half-extents in [1, beta/sqrt(d)] keep the circumradius <= beta
-            hmax = beta / math.sqrt(d)
-            hs = tuple(
-                min(max(snap(float(h)), 1.0), hmax)
-                for h in rng.uniform(1.0, hmax, size=d)
-            )
-            objects.append(Box(center, hs))
+            objects.append(Box(center, tuple(half[at:at + d])))
+            at += d
     return GeometricInstance(d, beta, tuple(objects), seed=seed)
 
 

@@ -104,61 +104,19 @@ def held_karp_path(g: Graph) -> Optional[Certificate]:
                    hamiltonian=True)
 
 
-def longest_path_exact(
-    g: Graph, weights: Optional[Sequence[int]] = None
-) -> tuple[int, Certificate]:
-    """Maximum-weight path by DP over (subset, endpoint).  Guarded at n <= 18."""
+def longest_path_exact(g: Graph) -> tuple[int, Certificate]:
+    """Longest path by the endpoint DP over all starts.  Guarded at n <= 18."""
     _guard(g.n, 18, "longest_path_exact")
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no path")
-    w = list(weights) if weights is not None else [1] * n
-    adj = g.adjacency_masks()
-    # best[mask][v] = max weight of a path covering mask and ending at v
-    best: list[dict[int, int]] = [dict() for _ in range(1 << n)]
-    for v in range(n):
-        best[1 << v][v] = w[v]
-    top_w, top_state = w[0], (1, 0)
-    for mask in range(1 << n):
-        entry = best[mask]
-        if not entry:
-            continue
-        for v, val in entry.items():
-            if val > top_w:
-                top_w, top_state = val, (mask, v)
-            rest = adj[v] & ~mask
-            u = rest
-            while u:
-                b = u & -u
-                x = b.bit_length() - 1
-                nm = mask | b
-                nv = val + w[x]
-                if best[nm].get(x, -1) < nv:
-                    best[nm][x] = nv
-                u ^= b
-    # reconstruct
-    mask, v = top_state
-    path = [v]
-    while mask != 1 << v or len(path) < bin(top_state[0]).count("1"):
-        prev_mask = mask & ~(1 << v)
-        if prev_mask == 0:
-            break
-        target = best[mask][v] - w[v]
-        nxt = None
-        u = adj[v] & prev_mask
-        while u:
-            b = u & -u
-            x = b.bit_length() - 1
-            if best[prev_mask].get(x) == target:
-                nxt = x
-                break
-            u ^= b
-        if nxt is None:
-            raise CertificateError("oracle reconstruction failed")
-        path.append(nxt)
-        mask, v = prev_mask, nxt
-    path.reverse()
-    return top_w, checked(g, "path", path, weights=w, target=top_w)
+    dp = _endpoint_dp(g, list(range(n)))
+    # the first of the largest vertex sets that some path covers
+    mask = max((m for m in range(1, 1 << n) if dp[m]), key=int.bit_count)
+    best = mask.bit_count()
+    end = (dp[mask] & -dp[mask]).bit_length() - 1
+    path = _recover_path(g, dp, mask, end, set(range(n)))
+    return best, checked(g, "path", path, target=best)
 
 
 def treewidth_exact(g: Graph) -> int:

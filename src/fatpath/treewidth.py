@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graphs import Graph
 
 __all__ = [
@@ -37,6 +35,8 @@ class TreeDecomposition:
 
 def validate(g: Graph, td: TreeDecomposition) -> bool:
     """The three axioms: vertex cover, edge cover, connected subtrees."""
+    import networkx as nx  # loaded here alone, so importing fatpath does not
+
     b = len(td.bags)
     if b == 0:
         return g.n == 0

@@ -76,6 +76,44 @@ def test_malformed_instance_json_exits_2(tmp_path):
         assert run(["graph", str(p)])[0] == 2, name
 
 
+def test_non_finite_instance_json_exits_2(tmp_path):
+    # json reads NaN, Infinity and 1e400 as floats, and Python ints have no
+    # bound; each would place an object nowhere or size it past any beta
+    ball = '{"type":"ball","center":%s,"radius":%s}'
+    box = '{"type":"box","center":%s,"half_extents":%s}'
+    objects = {
+        "nan_center": ball % ("[NaN,0]", "1"),
+        "inf_center": ball % ("[0,Infinity]", "1"),
+        "overflow_center": ball % ("[1e400,0]", "1"),
+        "huge_int_center": ball % ("[1%s,0]" % ("0" * 400), "1"),
+        "nan_radius": ball % ("[0,0]", "NaN"),
+        "huge_int_radius": ball % ("[0,0]", "1%s" % ("0" * 400)),
+        "inf_half_extent": box % ("[0,0]", "[1,Infinity]"),
+        "nan_half_extent": box % ("[0,0]", "[NaN,1]"),
+    }
+    docs = {name: '{"dimension":2,"beta":2.0,"objects":[%s,%s]}' % (
+        obj, ball % ("[1,1]", "1")) for name, obj in objects.items()}
+    for beta in ("NaN", "Infinity", "-Infinity", "1e400"):
+        docs[f"beta_{beta}"] = '{"dimension":2,"beta":%s,"objects":[%s]}' % (
+            beta, ball % ("[0,0]", "1"))
+    for name, text in docs.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
+        assert run(["graph", str(p)]) == (2, ""), name
+        assert run(["ham", str(p)]) == (2, ""), name
+        assert run(["longpath", str(p), "--k", "2"]) == (2, ""), name
+
+
+def test_generate_rejects_bad_sizes(capsys):
+    bad = [["--box-side", "inf"], ["--box-side", "nan"], ["--box-side", "-1"],
+           ["--beta", "inf"], ["--beta", "nan"], ["--beta", "0.5"],
+           ["--n", "0"], ["--d", "0"]]
+    for flag in bad:
+        assert run(["generate"] + flag) == (2, ""), flag
+    assert capsys.readouterr().err.count("error: ") == len(bad)
+    assert run(["generate", "--box-side", "0", "--n", "3"])[0] == 0
+
+
 def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     from fatpath import hamilton
     c5 = tmp_path / "c5.txt"

@@ -254,7 +254,7 @@ def test_solve_matches_oracle_small():
         rng = random.Random(9000 + seed)
         n = rng.randint(5, 12)
         g = random_graph(n, rng.uniform(0.2, 0.6), 9000 + seed)
-        best, _ = longest_path_exact(g, [1] * n)
+        best, _ = longest_path_exact(g)
         for k_ in range(1, n + 1):
             cert = solve_long_path(g, k_, seed=seed)
             if cert is not None:
@@ -269,7 +269,7 @@ def test_solve_geometric_sound():
     for seed in range(10):
         inst = generate_instance(d=2, beta=2.0, n=12, box_side=7.0, seed=seed)
         g = intersection_graph(inst)
-        best, _ = longest_path_exact(g, [1] * g.n)
+        best, _ = longest_path_exact(g)
         cert = solve_long_path(g, max(4, best), seed=seed)
         if cert is not None:
             assert cert.validate(g) and len(cert.vertices) >= max(4, best)
