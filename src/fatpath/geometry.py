@@ -202,8 +202,8 @@ def generate_instance(
 ) -> GeometricInstance:
     """n random objects: centers uniform in [0, box_side]^d, sizes uniform in [1, beta].
 
-    shape_mix is the fraction of balls (the rest are boxes).  Deterministic in
-    all arguments; coordinates are snapped to the 2^-20 grid.
+    shape_mix, in [0, 1], is the fraction of balls (the rest are boxes).
+    Deterministic in all arguments; coordinates are snapped to the 2^-20 grid.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -213,6 +213,8 @@ def generate_instance(
         raise ValueError("beta must be finite and >= 1")
     if not _finite(box_side) or box_side < 0:
         raise ValueError("box_side must be finite and >= 0")
+    if not 0 <= shape_mix <= 1:  # also false for NaN
+        raise ValueError("shape_mix must be in [0, 1]")
     rng = np.random.default_rng(seed)
     boxes_possible = beta >= math.sqrt(d)  # h_i >= 1 forces circumradius >= sqrt(d)
     # half-extents in [1, beta/sqrt(d)] keep the circumradius <= beta

@@ -22,9 +22,13 @@ __all__ = [
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with frozen adjacency sets."""
+    """Simple undirected graph on vertices 0..n-1 with frozen adjacency sets.
 
-    __slots__ = ("n", "_adj", "_m")
+    _td holds the graph's min-fill decomposition once
+    treewidth.heuristic_decomposition has computed it; __init__ leaves it
+    unset, so a graph that is never decomposed costs nothing more."""
+
+    __slots__ = ("n", "_adj", "_m", "_td")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:

@@ -17,10 +17,11 @@ part, H is G, on which the search has already run out, so G goes straight
 to that last step.  reconstruct puts each contracted vertex's set back
 where it sits in the witness before the lift.
 
-The long path solver shares the contraction, the expansion and the search:
-it calls compress as build_weighted with every vertex kept (longpath.mark),
-reconstruct as _expand, and _dfs_ham, which with a target k finds paths on
-at least k vertices, as _dfs_longpath, under the same budget.
+The long path solver shares the search, the contraction and the
+expansion, in the same order: it calls _dfs_ham, which with a target k
+finds paths on at least k vertices, as _dfs_longpath, first on G under the
+same budget; only past it does it call compress as build_weighted with
+every vertex kept (longpath.mark), and reconstruct as _expand.
 
 This module also holds the lift both solvers share: _lift splits the
 witness into same-part runs, replaces the runs inside linked parts by exact

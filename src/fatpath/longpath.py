@@ -1,21 +1,23 @@
-"""Long Path via the shared contraction and randomized low-treewidth covers.
-
-mark keeps every vertex, so build_weighted (hamilton.compress, the
-contraction both solvers share) contracts nothing: H is G with every part
-that is not raw made a clique.  Parts of kind RAW, and parts the fallback
-loop made raw, keep their own edges.  A path on at least k vertices of H is
-lifted to one of G.
+"""Long Path: the input graph first, then the shared contraction and
+randomized low-treewidth covers past the search budget.
 
 The route, cheapest first: k <= 3 is answered directly; no component of
 the input with k vertices is an exact "no"; then the exhaustive search
 shared with the Hamiltonian solvers (hamilton._dfs_ham, called here as
-_dfs_longpath) decides H under the budget of hamilton.SEARCH_NODES popped
-nodes.  Only when that budget runs out does the route go on: when H's
-decomposition is at most DP_WIDTH_CAP wide, or it has at most 24 vertices,
-it is decided exactly by the bag DP, or, for small wide graphs, by the
-unbudgeted search.  Otherwise randomized ball-carving covers of the
-twin-completed H (_twin_complete) select low-treewidth induced subgraphs
-across repetitions; YES answers are certified, NO answers are one-sided.
+_dfs_longpath) decides G itself under the budget of hamilton.SEARCH_NODES
+popped nodes.  Only when that budget runs out does the paper's pipeline
+run: the kappa-partition, refine_to_linked, and build_weighted
+(hamilton.compress, the contraction both solvers share).  mark keeps every
+vertex, so it contracts nothing: H is G with every part that is not raw
+made a clique.  Parts of kind RAW, and parts the fallback loop made raw,
+keep their own edges.  H is decided by the budgeted search, skipped when H
+has no more edges than G (then H is G, on which the search has run out);
+past that budget, when H's decomposition is at most DP_WIDTH_CAP wide, or
+it has at most 24 vertices, it is decided exactly by the bag DP, or, for
+small wide graphs, by the unbudgeted search.  Otherwise randomized
+ball-carving covers of the twin-completed H (_twin_complete) select
+low-treewidth induced subgraphs across repetitions; YES answers are
+certified, NO answers are one-sided.
 
 A path of H is lifted back by _expand (hamilton.reconstruct, the expansion
 both solvers share), which hands it to the shared lift: linked parts get
@@ -257,7 +259,13 @@ def solve_long_path(
     # a path lies inside one component
     if max(map(len, g.components())) < k:
         return None
+    try:
+        # a search that ends without a path is an exact "no"
+        return _dfs_longpath(g, k=k, budget=hamilton.SEARCH_NODES)
+    except SearchBudgetExceeded:
+        pass
 
+    # past the budget: the paper's pipeline
     p0 = kappa_partition(g)
     p, _q = refine_to_linked(g, p0, cfg)
 
@@ -272,12 +280,15 @@ def solve_long_path(
         """A path on at least k vertices of wc.h, in H ids: by the budgeted
         search; past its budget by the DP when H is narrow enough, by the
         cover route otherwise."""
-        try:
-            # a search that ends without a path is an exact "no", also where
-            # the cover route would have run
-            return _dfs_longpath(wc.h, k=k, budget=hamilton.SEARCH_NODES)
-        except SearchBudgetExceeded:
-            pass
+        # H has G's vertex ids and G's edges, so with no more edges it is G,
+        # on which the search has already run out
+        if wc.h.m != g.m:
+            try:
+                # a search that ends without a path is an exact "no", also
+                # where the cover route would have run
+                return _dfs_longpath(wc.h, k=k, budget=hamilton.SEARCH_NODES)
+            except SearchBudgetExceeded:
+                pass
         td_full = heuristic_decomposition(wc.h)
         if td_full.width <= DP_WIDTH_CAP or wc.h.n <= 24:
             return weighted_longpath_dp(wc.h, td_full, k)

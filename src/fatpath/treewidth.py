@@ -112,7 +112,17 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
     bag that holds those neighbours, or to the first bag.  The result is
     converted into canonical form (bags sorted lexicographically); widths
     are measured downstream, never assumed.
+
+    The result depends on g alone, and g is immutable, so it is stored on g
+    (g._td) the first time and that object is returned on later calls.
     """
+    td = getattr(g, "_td", None)
+    if td is None:
+        td = g._td = _min_fill_decomposition(g)
+    return td
+
+
+def _min_fill_decomposition(g: Graph) -> TreeDecomposition:
     if g.n == 0:
         return TreeDecomposition((), ())
     if g.n == 1:

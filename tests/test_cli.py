@@ -114,6 +114,17 @@ def test_generate_rejects_bad_sizes(capsys):
     assert run(["generate", "--box-side", "0", "--n", "3"])[0] == 0
 
 
+def test_generate_rejects_bad_shape_mix(capsys):
+    # NaN compares false, so it once gave boxes only and exit 0
+    for value in ("nan", "-3", "1.5"):
+        assert run(["generate", "--n", "4", "--box-side", "5",
+                    "--shape-mix", value]) == (2, ""), value
+    assert capsys.readouterr().err.count("error: ") == 3
+    for value in ("0", "1"):
+        assert run(["generate", "--n", "4", "--box-side", "5",
+                    "--shape-mix", value])[0] == 0, value
+
+
 def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     from fatpath import hamilton
     c5 = tmp_path / "c5.txt"

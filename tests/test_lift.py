@@ -122,13 +122,13 @@ def test_fallback_rounds_match_oracles(monkeypatch):
                 assert (cert is None) == (oracle(g) is None), seed
                 if cert is not None:
                     assert cert.validate(g, hamiltonian=True), seed
-        best, _ = longest_path_exact(g)
-        for k in (best, best + 1):
-            cert = longpath.solve_long_path(g, k, cfg)
-            # n <= 13 keeps every contraction on the exact route
-            assert (cert is not None) == (k <= best), (seed, k)
-            if cert is not None:
-                assert cert.validate(g) and len(cert) >= k, (seed, k)
+            best, _ = longest_path_exact(g)
+            for k in (best, best + 1):
+                cert = longpath.solve_long_path(g, k, cfg)
+                # n <= 13 keeps every contraction on the exact route
+                assert (cert is not None) == (k <= best), (seed, k)
+                if cert is not None:
+                    assert cert.validate(g) and len(cert) >= k, (seed, k)
     assert counts["reconstruct"] >= 1
     assert counts["_expand"] >= 1
 

@@ -248,14 +248,19 @@ def test_solve_rejects_without_a_k_vertex_component(monkeypatch):
     assert cert is not None and cert.validate(g) and len(cert) == 5
 
 
-def test_solve_matches_oracle_small():
-    bad = 0
+def small_cases():
+    """(seed, g) for the G(n,p) graphs the oracle tests run on."""
     for seed in range(12):
         rng = random.Random(9000 + seed)
         n = rng.randint(5, 12)
-        g = random_graph(n, rng.uniform(0.2, 0.6), 9000 + seed)
+        yield seed, random_graph(n, rng.uniform(0.2, 0.6), 9000 + seed)
+
+
+def test_solve_matches_oracle_small():
+    bad = 0
+    for seed, g in small_cases():
         best, _ = longest_path_exact(g)
-        for k_ in range(1, n + 1):
+        for k_ in range(1, g.n + 1):
             cert = solve_long_path(g, k_, seed=seed)
             if cert is not None:
                 assert cert.validate(g) and len(cert.vertices) >= k_
@@ -263,6 +268,81 @@ def test_solve_matches_oracle_small():
             elif k_ <= best:
                 bad += 1
     assert bad == 0
+
+
+def test_search_decides_g_before_the_partition(monkeypatch):
+    def partition(*args, **kwargs):
+        raise AssertionError("the partition was built")
+
+    monkeypatch.setattr(longpath, "kappa_partition", partition)
+    for seed, g in small_cases():
+        best, _ = longest_path_exact(g)
+        for k_ in range(4, g.n + 1):
+            cert = solve_long_path(g, k_, seed=seed)
+            assert (cert is not None) == (k_ <= best), (seed, k_)
+            if cert is not None:
+                assert cert.validate(g) and len(cert) >= k_, (seed, k_)
+
+
+def test_solve_matches_oracle_past_the_budget(monkeypatch):
+    # with no budget every solve with k >= 4 and a k-vertex component runs
+    # the partition pipeline; n <= 12 keeps it on the exact route
+    partitions = 0
+    inner = longpath.kappa_partition
+
+    def counted(*args, **kwargs):
+        nonlocal partitions
+        partitions += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(longpath, "kappa_partition", counted)
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    for seed, g in small_cases():
+        best, _ = longest_path_exact(g)
+        for k_ in range(1, g.n + 1):
+            cert = solve_long_path(g, k_, seed=seed)
+            assert (cert is not None) == (k_ <= best), (seed, k_)
+            if cert is not None:
+                assert cert.validate(g) and len(cert) >= k_, (seed, k_)
+    assert partitions > 0
+
+
+def test_search_is_not_repeated_on_h_equal_to_g(monkeypatch):
+    # mark keeps every vertex, so H is G when it has no more edges; the
+    # budgeted search, already run out on G, must then not run on H
+    budgeted = []
+    h_edges = []
+    search, contract = longpath._dfs_longpath, longpath.build_weighted
+
+    def spy_search(h, **kwargs):
+        if kwargs.get("budget") is not None:
+            budgeted.append(h)
+        return search(h, **kwargs)
+
+    def spy_contract(*args, **kwargs):
+        wc = contract(*args, **kwargs)
+        h_edges.append(wc.h.m)
+        return wc
+
+    monkeypatch.setattr(longpath, "_dfs_longpath", spy_search)
+    monkeypatch.setattr(longpath, "build_weighted", spy_contract)
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 1)
+    seen = set()
+    for cfg in (SolverConfig(), SolverConfig(g_threshold=1)):
+        for seed, g in small_cases():
+            best, _ = longest_path_exact(g)
+            for k_ in (best, best + 1):
+                budgeted.clear()
+                h_edges.clear()
+                cert = solve_long_path(g, k_, cfg, seed=seed)
+                assert (cert is not None) == (k_ <= best), (seed, k_)
+                if k_ <= 3 or not h_edges:
+                    continue
+                # one search on G, then one on each contraction that is not G
+                assert budgeted[0] is g, (seed, k_)
+                assert len(budgeted) == 1 + sum(m != g.m for m in h_edges), (seed, k_)
+                seen.update(m == g.m for m in h_edges)
+    assert seen == {True, False}
 
 
 def test_solve_geometric_sound():

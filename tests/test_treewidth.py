@@ -112,3 +112,15 @@ def test_heuristic_is_networkx_min_fill():
             d=2, beta=2.0, n=n, box_side=0.9 * n ** 0.5, shape_mix=0.5, seed=seed)))
     for i, g in enumerate(graphs):
         assert heuristic_decomposition(g) == networkx_min_fill(g), i
+
+
+def test_decomposition_is_stored_on_the_graph():
+    g = grid(4, 5)
+    td = heuristic_decomposition(g)
+    assert heuristic_decomposition(g) is td
+    # an equal graph is another object and computes its own
+    twin = Graph(g.n, list(g.edges()))
+    assert twin == g
+    td_twin = heuristic_decomposition(twin)
+    assert td_twin is not td and td_twin == td
+    assert heuristic_decomposition(twin) is td_twin
