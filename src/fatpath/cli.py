@@ -72,10 +72,6 @@ def _config(args) -> SolverConfig:
         kw["g_threshold"] = args.g_threshold
     if getattr(args, "budget", None) is not None:
         kw["repetition_budget"] = args.budget
-    if getattr(args, "cr", None) is not None:
-        kw["c_r"] = args.cr
-    if getattr(args, "crep", None) is not None:
-        kw["c_rep"] = args.crep
     if getattr(args, "d", None) is not None:
         kw["d"] = args.d
     return SolverConfig(**kw)
@@ -143,6 +139,8 @@ def cmd_cover(args) -> int:
     if args.outer and (args.d is not None or args.cr is not None):
         # outer_cover reads neither, so a value given would be ignored
         raise InputError("--d and --cr set the pattern cover; --outer takes neither")
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1 (got {args.trials})")
     g = _load_graph(args)
     # unset flags keep pattern_cover's own defaults
     given = {k: v for k, v in (("d", args.d), ("c_r", args.cr)) if v is not None}
@@ -176,10 +174,8 @@ def _add_geometry_flags(sp):
 
 def _add_solver_flags(sp, cover: bool = False):
     sp.add_argument("--g-threshold", type=int, default=None)
-    if cover:  # the long path solver's cover route reads these
+    if cover:  # the long path solver's cover route reads it
         sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--cr", type=float, default=None)
-        sp.add_argument("--crep", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,17 +18,19 @@ to that last step.  reconstruct puts each contracted vertex's set back
 where it sits in the witness before the lift.
 
 The long path solver shares the search, the contraction and the
-expansion, in the same order: it calls _dfs_ham, which with a target k
-finds paths on at least k vertices, as _dfs_longpath, first on G under the
-same budget; only past it does it call compress as build_weighted with
-every vertex kept (longpath.mark), and reconstruct as _expand.
+expansion: it calls _dfs_ham, which with a target k finds paths on at least
+k vertices, as _dfs_longpath, first on G under the same budget; only past
+it does it call compress as build_weighted, once, with every vertex kept
+(longpath.mark), for one budgeted search on H, and reconstruct as _expand
+to lift what that search finds.  It has no retry: past that one try it
+decides G itself.
 
 This module also holds the lift both solvers share: _lift splits the
 witness into same-part runs, replaces the runs inside linked parts by exact
 spanning linkages and validates the result, raising FallbackRequired for a
-part it cannot lift.  _fallback_loop then retries the solve with that part
-kept verbatim (raw), so soundness never depends on the desk-scale
-connectivity constants.  Every certificate a DP or search step returns
+part it cannot lift.  _solve then retries with that part kept verbatim
+(raw), so soundness never depends on the desk-scale connectivity
+constants.  Every certificate a DP or search step returns
 passes certificates.checked, which raises CertificateError instead of
 asserting.
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .certificates import Certificate, checked
 from .dp import solve_dp
@@ -214,15 +216,12 @@ def _dfs_ham(
     popped = 0
     masks = h.adjacency_masks()
     full = (1 << n) - 1
-    pendants = [v for v in range(n) if h.degree(v) == 1]
-    if kind == "cycle":
-        starts = [0]
-    elif k is None and pendants:
+    starts = [0] if kind == "cycle" else range(n)
+    if kind == "path" and k is None:
         # a Hamiltonian path ends at every degree-1 vertex, so one reversed
         # starts at the smallest
-        starts = pendants[:1]
-    else:
-        starts = range(n)
+        pendants = [v for v in range(n) if h.degree(v) == 1]
+        starts = pendants[:1] or starts
     for s in starts:
         stack: list[tuple[int, int, tuple[int, ...]]] = [(s, 1 << s, (s,))]
         while stack:
@@ -352,21 +351,6 @@ def _lift(
     return cert
 
 
-def _fallback_loop(
-    attempt: Callable[[frozenset[int]], Optional[Certificate]],
-) -> Optional[Certificate]:
-    """Call attempt(raw) until it returns; every FallbackRequired adds the
-    blamed part to the raw parts, which the next attempt keeps whole."""
-    raw: frozenset[int] = frozenset()
-    while True:
-        try:
-            return attempt(raw)
-        except FallbackRequired as fb:
-            if fb.part_id in raw:
-                raise RuntimeError("fallback loop did not converge") from fb
-            raw = raw | {fb.part_id}
-
-
 def reconstruct(
     g: Graph,
     p: Partition,
@@ -445,13 +429,19 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
         return past_budget(g)
 
     keep = select_blue_edges(g, p)
-
-    def attempt(raw: frozenset[int]) -> Optional[Certificate]:
+    # every FallbackRequired keeps the blamed part whole in the next round
+    raw: frozenset[int] = frozenset()
+    while True:
         comp = compress(g, p, keep, raw)
         cert_h = run_exact(comp.h)
-        return None if cert_h is None else reconstruct(g, p, comp, cert_h)
-
-    return _fallback_loop(attempt)
+        if cert_h is None:
+            return None
+        try:
+            return reconstruct(g, p, comp, cert_h)
+        except FallbackRequired as fb:
+            if fb.part_id in raw:
+                raise RuntimeError("fallback loop did not converge") from fb
+            raw = raw | {fb.part_id}
 
 
 def solve_hamiltonian_cycle(

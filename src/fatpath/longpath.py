@@ -1,28 +1,30 @@
-"""Long Path: the input graph first, then the shared contraction and
-randomized low-treewidth covers past the search budget.
+"""Long Path: the input graph first; past the search budget, one try on
+the shared contraction, then G itself, exactly or by randomized
+low-treewidth covers.
 
 The route, cheapest first: k <= 3 is answered directly; no component of
 the input with k vertices is an exact "no"; then the exhaustive search
 shared with the Hamiltonian solvers (hamilton._dfs_ham, called here as
 _dfs_longpath) decides G itself under the budget of hamilton.SEARCH_NODES
-popped nodes.  Only when that budget runs out does the paper's pipeline
-run: the kappa-partition, refine_to_linked, and build_weighted
-(hamilton.compress, the contraction both solvers share).  mark keeps every
-vertex, so it contracts nothing: H is G with every part that is not raw
-made a clique.  Parts of kind RAW, and parts the fallback loop made raw,
-keep their own edges.  H is decided by the budgeted search, skipped when H
-has no more edges than G (then H is G, on which the search has run out);
-past that budget, when H's decomposition is at most DP_WIDTH_CAP wide, or
-it has at most 24 vertices, it is decided exactly by the bag DP, or, for
-small wide graphs, by the unbudgeted search.  Otherwise randomized
-ball-carving covers of the twin-completed H (_twin_complete) select
-low-treewidth induced subgraphs across repetitions; YES answers are
-certified, NO answers are one-sided.
+popped nodes.  Only when that budget runs out is the paper's partition
+built (kappa_partition, refine_to_linked), and the contraction both solvers
+share (hamilton.compress, called here as build_weighted) makes H once.
+mark keeps every vertex, so H is G with every part that is not raw made a
+clique: it has every edge of G on the same vertices.  When H has more edges
+than G, the budgeted search runs on H: a search that ends without a path is
+an exact "no", since G has no such path either, and a path found is lifted
+back by _expand (hamilton.reconstruct, the expansion both solvers share,
+with exact spanning linkages inside linked parts).  A search on H that runs
+out, or a lift that raises FallbackRequired, goes on to G itself.
 
-A path of H is lifted back by _expand (hamilton.reconstruct, the expansion
-both solvers share), which hands it to the shared lift: linked parts get
-exact spanning linkages, and a part that cannot be lifted is kept raw in
-the next round of the shared fallback loop.
+G is restricted to its components of at least k vertices, which alone can
+hold the path.  That subgraph is decided exactly by the bag DP when its
+decomposition is at most DP_WIDTH_CAP wide, or it has at most 24 vertices
+(small wide graphs go to the unbudgeted search instead).  Otherwise
+randomized ball-carving covers (outer_cover, then pattern_cover on wide
+pieces) select low-treewidth induced subgraphs across repetitions, in the
+manner of Marx and Pilipczuk's low-treewidth pattern covering (ESA 2017);
+YES answers are certified, NO answers are one-sided.
 """
 
 from __future__ import annotations
@@ -37,12 +39,7 @@ from . import hamilton
 from .certificates import Certificate, checked
 from .dp import solve_dp
 from .graphs import Graph, bfs_ball
-from .hamilton import (
-    Contraction,
-    SearchBudgetExceeded,
-    _edges_to_sequence,
-    _fallback_loop,
-)
+from .hamilton import FallbackRequired, SearchBudgetExceeded, _edges_to_sequence
 # one contraction, one expansion and one exhaustive search for both solvers,
 # bound to names of this module so that perfbench/spans.py, which wraps
 # module globals, tells the long path calls from the Hamiltonian ones.  The
@@ -72,36 +69,16 @@ __all__ = [
 # to the cover route, and wider cover pieces are skipped
 DP_WIDTH_CAP = 10
 
+# the cover route's constants: the pattern cover's radius cap is
+# ceil(C_R * k^(1/d)), and C_REP scales the repetitions it plans, at most
+# SolverConfig.repetition_budget
+C_R = 4.0
+C_REP = 1.0
+
 
 def mark(g: Graph, p: Partition) -> frozenset[int]:
     """The vertices the contraction keeps: all of them, so no part shrinks."""
     return frozenset(range(g.n))
-
-
-def _twin_complete(wc: Contraction) -> tuple[Graph, list[int]]:
-    """The graph the cover route carves, and the H vertex of each of its
-    vertices: H, which holds every input cross edge since long path keeps
-    every vertex, with every two parts that are not raw and share a cross
-    edge made fully adjacent, so that each such part's vertices are true
-    twins.  It is numbered part by part: the carvings start every ball at
-    the lowest remaining vertex, and sweeping the parts in order needed 2.4x
-    fewer repetitions than H's input-id order on 85 solves of dense beta=2
-    graphs (n=35, k=6 and 12)."""
-    part = wc.part_of_h
-    order = sorted(range(wc.h.n), key=lambda hv: (part[hv], hv))
-    at = {hv: x for x, hv in enumerate(order)}
-    members: dict[int, list[int]] = {}
-    for x, hv in enumerate(order):
-        members.setdefault(part[hv], []).append(x)
-    edges = {tuple(sorted((at[a], at[b]))) for a, b in wc.h.edges()}
-    linked = {
-        (part[a], part[b])
-        for a, b in wc.h.edges()
-        if part[a] != part[b] and not {part[a], part[b]} & wc.raw_parts
-    }
-    for i, j in linked:
-        edges.update((min(a, b), max(a, b)) for a in members[i] for b in members[j])
-    return Graph(wc.h.n, sorted(edges)), order
 
 
 def outer_cover(g: Graph, k: int, seed: int, c: float = 4.0) -> frozenset[int]:
@@ -137,7 +114,7 @@ class CoverSample:
 
 
 def pattern_cover(
-    g: Graph, k: int, seed: int, d: int = 2, c_r: float = 4.0
+    g: Graph, k: int, seed: int, d: int = 2, c_r: float = C_R
 ) -> CoverSample:
     """Clustering sampler: carve geometric-radius balls (success probability
     k^{-1/d}*log2(k), radius capped at R = ceil(c_r*k^{1/d})), keep each ball,
@@ -148,6 +125,8 @@ def pattern_cover(
         raise ValueError("k must be >= 4")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not 0 < c_r < math.inf:  # also false for NaN
+        raise ValueError(f"c_r must be finite and > 0 (got {c_r})")
     rng = np.random.default_rng(seed)
     p = min(1.0, k ** (-1.0 / d) * math.log2(k))
     big_r = math.ceil(c_r * k ** (1.0 / d))
@@ -243,6 +222,38 @@ def _direct_small(g: Graph, k: int) -> Optional[Certificate]:
     return None
 
 
+def _cover_route(
+    g: Graph, k: int, cfg: SolverConfig, seed: int
+) -> Optional[Certificate]:
+    """A path on at least k vertices of g, looked for on the low-treewidth
+    induced subgraphs that randomized ball-carving covers select across
+    repetitions; None is a one-sided "no"."""
+    exponent = C_REP * k ** (1.0 - 1.0 / cfg.d) * math.log2(k) ** 2
+    schedule = cfg.repetition_budget
+    if exponent < 60:
+        schedule = min(schedule, math.ceil(2.0**exponent))
+    for rep in range(schedule):
+        rng = np.random.default_rng(seed + rep)
+        carved, ids = g.induced(outer_cover(g, k, int(rng.integers(1 << 31))))
+        for comp in carved.components():
+            if len(comp) < k:
+                continue
+            piece, at = g.induced(ids[x] for x in comp)
+            td = heuristic_decomposition(piece)
+            if td.width > DP_WIDTH_CAP and piece.n > 24:
+                sample = pattern_cover(piece, k, int(rng.integers(1 << 31)), cfg.d)
+                if sample.aborted or len(sample.vertices) < k:
+                    continue
+                piece, at = g.induced(at[x] for x in sample.vertices)
+                td = heuristic_decomposition(piece)
+                if td.width > DP_WIDTH_CAP and piece.n > 24:
+                    continue
+            cert = weighted_longpath_dp(piece, td, k)
+            if cert is not None:
+                return Certificate("path", tuple(at[v] for v in cert.vertices))
+    return None
+
+
 def solve_long_path(
     g: Graph,
     k: int,
@@ -257,7 +268,8 @@ def solve_long_path(
     if k <= 3:
         return _direct_small(g, k)
     # a path lies inside one component
-    if max(map(len, g.components())) < k:
+    big = [comp for comp in g.components() if len(comp) >= k]
+    if not big:
         return None
     try:
         # a search that ends without a path is an exact "no"
@@ -265,69 +277,27 @@ def solve_long_path(
     except SearchBudgetExceeded:
         pass
 
-    # past the budget: the paper's pipeline
-    p0 = kappa_partition(g)
-    p, _q = refine_to_linked(g, p0, cfg)
+    # past the budget, one try on H, which has every edge of G on the same
+    # vertices; with no more edges it is G, on which the search has run out
+    p, _q = refine_to_linked(g, kappa_partition(g), cfg)
+    wc = build_weighted(g, p, mark(g, p))
+    if wc.h.m != g.m:
+        try:
+            # a search on H that ends without a path is an exact "no" for G
+            cert_h = _dfs_longpath(wc.h, k=k, budget=hamilton.SEARCH_NODES)
+            if cert_h is None:
+                return None
+            return _expand(g, p, wc, cert_h, hamiltonian=False)
+        except (SearchBudgetExceeded, FallbackRequired):
+            pass
 
-    exponent = cfg.c_rep * k ** (1.0 - 1.0 / cfg.d) * math.log2(k) ** 2
-    schedule = cfg.repetition_budget
-    if exponent < 60:
-        schedule = min(cfg.repetition_budget, math.ceil(2.0**exponent))
-
-    keep = mark(g, p)
-
-    def decide(wc: Contraction) -> Optional[Certificate]:
-        """A path on at least k vertices of wc.h, in H ids: by the budgeted
-        search; past its budget by the DP when H is narrow enough, by the
-        cover route otherwise."""
-        # H has G's vertex ids and G's edges, so with no more edges it is G,
-        # on which the search has already run out
-        if wc.h.m != g.m:
-            try:
-                # a search that ends without a path is an exact "no", also
-                # where the cover route would have run
-                return _dfs_longpath(wc.h, k=k, budget=hamilton.SEARCH_NODES)
-            except SearchBudgetExceeded:
-                pass
-        td_full = heuristic_decomposition(wc.h)
-        if td_full.width <= DP_WIDTH_CAP or wc.h.n <= 24:
-            return weighted_longpath_dp(wc.h, td_full, k)
-
-        h_cross, order = _twin_complete(wc)
-        for rep in range(schedule):
-            rng = np.random.default_rng(seed + rep)
-            s_outer = int(rng.integers(1 << 31))
-            a_outer = outer_cover(h_cross, k, s_outer)
-            if not a_outer:
-                continue
-            sub, ids = h_cross.induced(a_outer)
-            for comp in sub.components():
-                comp_ids = [ids[x] for x in comp]
-                cg, cl = h_cross.induced(comp_ids)
-                td = heuristic_decomposition(cg)
-                if td.width <= DP_WIDTH_CAP or cg.n <= 24:
-                    chosen = {order[x] for x in cl}
-                else:
-                    s_pat = int(rng.integers(1 << 31))
-                    sample = pattern_cover(cg, k, s_pat, cfg.d, cfg.c_r)
-                    if sample.aborted or not sample.vertices:
-                        continue
-                    chosen = {order[cl[x]] for x in sample.vertices}
-                dg, dl = wc.h.induced(chosen)
-                dtd = heuristic_decomposition(dg)
-                if dtd.width > DP_WIDTH_CAP and dg.n > 24:
-                    continue
-                cert_sub = weighted_longpath_dp(dg, dtd, k)
-                if cert_sub is None:
-                    continue
-                return Certificate("path", tuple(dl[v] for v in cert_sub.vertices))
+    # then G itself, on the components that can hold the path
+    sub, ids = g.induced(v for comp in big for v in comp)
+    td = heuristic_decomposition(sub)
+    if td.width <= DP_WIDTH_CAP or sub.n <= 24:
+        cert = weighted_longpath_dp(sub, td, k)
+    else:
+        cert = _cover_route(sub, k, cfg, seed)
+    if cert is None:
         return None
-
-    def attempt(raw: frozenset[int]) -> Optional[Certificate]:
-        wc = build_weighted(g, p, keep, raw)
-        cert_h = decide(wc)
-        if cert_h is None:
-            return None
-        return _expand(g, p, wc, cert_h, hamiltonian=False)
-
-    return _fallback_loop(attempt)
+    return checked(g, "path", [ids[v] for v in cert.vertices], target=k)

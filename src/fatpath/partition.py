@@ -126,13 +126,11 @@ class SolverConfig:
     Defaults are desk-scale: downstream reconstruction verifies every linkage
     exactly and falls back when a part is not linked enough, so correctness
     does not depend on the astronomically large constants the asymptotic
-    analysis would demand.  c_r, c_rep, repetition_budget and d are read
-    only by the long path solver's cover route.
+    analysis would demand.  repetition_budget and d are read only by the
+    long path solver's cover route.
     """
 
     g_threshold: int = 8
-    c_r: float = 4.0
-    c_rep: float = 1.0
     repetition_budget: int = 10_000
     d: int = 2
 
@@ -269,8 +267,8 @@ def refine_to_linked(
         interior = tree.interior_union()
         cover = clique_partition_exact(g, interior, KAPPA) if len(interior) <= 24 else None
         if cover is None:
-            # the connected pieces of the interior; correctness is restored
-            # downstream by the solvers' fallback loop
+            # the connected pieces of the interior, which make no promise:
+            # the contraction keeps them whole
             sub, orig = g.induced(interior)
             cover = [frozenset(orig[v] for v in comp) for comp in sub.components()]
         for piece in cover:

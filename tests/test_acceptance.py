@@ -17,7 +17,7 @@ from fatpath.cli import main as cli_main
 from fatpath.geometry import empirical_growth, generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
 from fatpath.hamilton import solve_hamiltonian_cycle, solve_hamiltonian_path
-from fatpath.longpath import outer_cover, pattern_cover, solve_long_path
+from fatpath.longpath import C_R, outer_cover, pattern_cover, solve_long_path
 from fatpath.oracle import (
     held_karp_cycle,
     held_karp_path,
@@ -179,7 +179,6 @@ def test_width_scaling(capsys):
 
 
 def test_pattern_cover_compliance(capsys):
-    cfg = SolverConfig()
     c_tw = 0.35  # width bound constant: width <= c_tw * sqrt(k) * log2(k)
     draws = 0
     aborted = 0
@@ -188,13 +187,13 @@ def test_pattern_cover_compliance(capsys):
         n = 150 + (i % 5) * 50
         g = disk_graph(n, 1.6, i)
         k = (16, 25, 36, 64)[i % 4]
-        sample = pattern_cover(g, k, seed=i, d=2, c_r=cfg.c_r)
+        sample = pattern_cover(g, k, seed=i, d=2, c_r=C_R)
         draws += 1
         if sample.aborted:
             aborted += 1
             continue
         l_cap = math.ceil(math.sqrt(k) * math.log2(k))
-        big_r = math.ceil(cfg.c_r * math.sqrt(k))
+        big_r = math.ceil(C_R * math.sqrt(k))
         if len(sample.boundary) > l_cap:
             violations += 1
         if any(r > big_r for _, r in sample.clusters):

@@ -173,7 +173,8 @@ def test_ham_and_partition_take_no_seed(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([cmd, path] + flag)
         assert exc.value.code == 2, (cmd, flag)
-    for flag in (["--lambda", "7"], ["--mark-strategy", "full"]):
+    for flag in (["--lambda", "7"], ["--mark-strategy", "full"],
+                 ["--cr", "2.0"], ["--crep", "2.0"]):
         with pytest.raises(SystemExit) as exc:
             main(["longpath", path, "--k", "4"] + flag)
         assert exc.value.code == 2, flag
@@ -233,3 +234,15 @@ def test_cover_stats(tmp_path):
                      "--trace", str(trace)])
     assert code == 0
     assert trace.exists() and trace.read_text().count("\n") >= 2
+
+
+def test_cover_rejects_bad_cr_and_trials(tmp_path, capsys):
+    # a non-finite radius constant is an input error, not an internal one,
+    # and a run of no trials reports nothing
+    path, _ = write_k5(tmp_path)
+    bad = [["--cr", "inf"], ["--cr", "nan"], ["--cr", "0"],
+           ["--trials", "0"], ["--trials", "-3"]]
+    for flag in bad:
+        assert run(["cover", path] + flag) == (2, ""), flag
+    assert capsys.readouterr().err.count("error: ") == len(bad)
+    assert run(["cover", path, "--cr", "2.5", "--trials", "2"])[0] == 0

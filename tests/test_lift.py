@@ -2,8 +2,9 @@
 witness of the contraction back to the input graph.
 
 At g_threshold=1 the refined partitions have many small linked parts, so
-spanning linkages fail often and both solvers go through fallback rounds:
-the blamed part is kept whole and the solve is retried.
+spanning linkages fail often.  The Hamiltonian solvers then go through
+fallback rounds: the blamed part is kept whole and the solve is retried.
+The long path solver instead leaves the verdict to G itself.
 """
 
 import itertools
@@ -102,9 +103,11 @@ def test_contraction_invariants():
 
 
 def test_fallback_rounds_match_oracles(monkeypatch):
-    counts = {"reconstruct": 0, "_expand": 0}
+    counts = {"reconstruct": 0}
     _count_raises(monkeypatch, hamilton, "reconstruct", counts)
-    _count_raises(monkeypatch, longpath, "_expand", counts)
+    # the search on G would decide these graphs before the partition is
+    # built; with no budget the pipeline and its lift run
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
     cfg = SolverConfig(g_threshold=1)
     for seed in range(45, 65):
         rng = random.Random(seed)
@@ -112,24 +115,39 @@ def test_fallback_rounds_match_oracles(monkeypatch):
         g = random_graph(n, rng.uniform(0.3, 0.8), seed)
         if not g.is_connected():
             continue
-        # the search on G would decide these graphs before the partition is
-        # built; with no budget the pipeline and its lift run
-        with monkeypatch.context() as m:
-            m.setattr(hamilton, "SEARCH_NODES", 0)
-            for solve, oracle in ((hamilton.solve_hamiltonian_cycle, held_karp_cycle),
-                                  (hamilton.solve_hamiltonian_path, held_karp_path)):
-                cert = solve(g, cfg)
-                assert (cert is None) == (oracle(g) is None), seed
-                if cert is not None:
-                    assert cert.validate(g, hamiltonian=True), seed
-            best, _ = longest_path_exact(g)
-            for k in (best, best + 1):
-                cert = longpath.solve_long_path(g, k, cfg)
-                # n <= 13 keeps every contraction on the exact route
-                assert (cert is not None) == (k <= best), (seed, k)
-                if cert is not None:
-                    assert cert.validate(g) and len(cert) >= k, (seed, k)
+        for solve, oracle in ((hamilton.solve_hamiltonian_cycle, held_karp_cycle),
+                              (hamilton.solve_hamiltonian_path, held_karp_path)):
+            cert = solve(g, cfg)
+            assert (cert is None) == (oracle(g) is None), seed
+            if cert is not None:
+                assert cert.validate(g, hamiltonian=True), seed
     assert counts["reconstruct"] >= 1
+
+
+def test_longpath_lift_failures_fall_through_to_g(monkeypatch):
+    # the search runs out on G alone, so the search on H decides first; a
+    # path of H that cannot be lifted leaves the verdict to G itself
+    counts = {"_expand": 0}
+    _count_raises(monkeypatch, longpath, "_expand", counts)
+    search = longpath._dfs_longpath
+
+    def search_h(h, **kwargs):
+        if h is g:
+            raise hamilton.SearchBudgetExceeded(0)
+        return search(h, **kwargs)
+
+    monkeypatch.setattr(longpath, "_dfs_longpath", search_h)
+    cfg = SolverConfig(g_threshold=1)
+    for seed in range(45, 65):
+        rng = random.Random(seed)
+        n = rng.randint(8, 13)
+        g = random_graph(n, rng.uniform(0.3, 0.8), seed)
+        best, _ = longest_path_exact(g)
+        for k in (best, best + 1):
+            cert = longpath.solve_long_path(g, k, cfg)
+            assert (cert is not None) == (k <= best), (seed, k)
+            if cert is not None:
+                assert cert.validate(g) and len(cert) >= k, (seed, k)
     assert counts["_expand"] >= 1
 
 

@@ -7,8 +7,8 @@ import pytest
 from fatpath import hamilton, longpath
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
+from fatpath.hamilton import FallbackRequired
 from fatpath.longpath import (
-    _twin_complete,
     build_weighted,
     mark,
     outer_cover,
@@ -60,7 +60,7 @@ def test_build_weighted_full_marking_no_contraction():
     wc = build_weighted(g, p, mark(g, p))
     assert wc.origin == tuple(range(g.n))
     assert all(us == () for us in wc.u_sets)
-    assert wc.h.n == _twin_complete(wc)[0].n == g.n
+    assert wc.h.n == g.n
 
 
 def test_build_weighted_single_part_contraction():
@@ -83,37 +83,6 @@ def test_build_weighted_keeps_raw_parts_whole():
         wc = build_weighted(g, p, keep)
         assert wc.u_sets == ((), ()) and wc.origin == tuple(range(6))
         assert sorted(wc.h.edges()) == sorted(g.edges())
-
-
-def test_twin_completion():
-    for seed in range(40):
-        g = random_graph(13, 0.35, 200 + seed)
-        comp = max(g.components(), key=len)
-        sub, _ = g.induced(comp)
-        p = pipeline(sub)
-        for raw in (frozenset(), frozenset({0})):
-            wc = build_weighted(sub, p, mark(sub, p), raw)
-            hc, order = _twin_complete(wc)
-            at = {hv: x for x, hv in enumerate(order)}
-            assert sorted(order) == list(range(wc.h.n))
-            # numbered part by part
-            assert [wc.part_of_h[hv] for hv in order] == sorted(wc.part_of_h)
-            for a, b in wc.h.edges():
-                assert hc.has_edge(at[a], at[b])
-            # every input edge is there, H's ids being the input ids
-            assert wc.origin == tuple(range(sub.n))
-            for u, v in sub.edges():
-                assert hc.has_edge(at[u], at[v])
-            # the vertices of a part that is not raw are true twins towards
-            # every part that is not raw
-            members = {}
-            for x, hv in enumerate(order):
-                members.setdefault(wc.part_of_h[hv], []).append(x)
-            raw_x = {x for i in wc.raw_parts for x in members[i]}
-            for i, xs in members.items():
-                if i not in wc.raw_parts:
-                    hoods = {frozenset((hc.neighbors(x) | {x}) - raw_x) for x in xs}
-                    assert len(hoods) == 1
 
 
 def test_outer_cover_radius_invariant():
@@ -353,3 +322,85 @@ def test_solve_geometric_sound():
         cert = solve_long_path(g, max(4, best), seed=seed)
         if cert is not None:
             assert cert.validate(g) and len(cert.vertices) >= max(4, best)
+
+
+def test_search_on_h_decides_past_the_budget_on_g(monkeypatch):
+    # a dense unit-disk graph whose search runs out on G; H, with its linked
+    # parts made cliques, has more edges and the search on it finds a
+    # 60-vertex path, which the lift turns into one of G
+    g = intersection_graph(generate_instance(
+        d=2, beta=1.0, n=60, box_side=0.7 * math.sqrt(60), seed=1))
+    searched = []
+    search = longpath._dfs_longpath
+
+    def spy(h, **kwargs):
+        searched.append(h)
+        return search(h, **kwargs)
+
+    def decomposition(*args, **kwargs):
+        raise AssertionError("G was decomposed")
+
+    monkeypatch.setattr(longpath, "_dfs_longpath", spy)
+    monkeypatch.setattr(longpath, "heuristic_decomposition", decomposition)
+    with pytest.raises(hamilton.SearchBudgetExceeded):
+        search(g, k=60, budget=hamilton.SEARCH_NODES)
+    cert = solve_long_path(g, 60)
+    assert cert is not None and cert.validate(g) and len(cert) == 60
+    assert searched[0] is g and len(searched) == 2 and searched[1].m > g.m
+
+
+def test_failed_lift_falls_through_to_g(monkeypatch):
+    # the search runs out on G alone and every lift from H fails, so every
+    # verdict past the search on H comes from G itself
+    search = longpath._dfs_longpath
+    lifts = 0
+
+    def search_h(h, **kwargs):
+        if h is g:
+            raise hamilton.SearchBudgetExceeded(0)
+        return search(h, **kwargs)
+
+    def blame(g_, p, wc, cert_h, hamiltonian):
+        nonlocal lifts
+        lifts += 1
+        raise FallbackRequired(wc.part_of_h[cert_h.vertices[0]])
+
+    monkeypatch.setattr(longpath, "_dfs_longpath", search_h)
+    monkeypatch.setattr(longpath, "_expand", blame)
+    # g_threshold=1 makes linked parts, and so an H with more edges than G
+    for cfg, (seed, g) in itertools.product(
+            (SolverConfig(), SolverConfig(g_threshold=1)), small_cases()):
+        best, _ = longest_path_exact(g)
+        for k_ in (best, best + 1):
+            cert = solve_long_path(g, k_, cfg, seed=seed)
+            assert (cert is not None) == (k_ <= best), (seed, k_)
+            if cert is not None:
+                assert cert.validate(g) and len(cert) >= k_, (seed, k_)
+    assert lifts > 0
+
+
+def test_cover_route_certificates_validate(monkeypatch):
+    # no budget and a width cap of 1 send every graph of more than 24
+    # vertices past H to the cover route, whose pieces are mapped back to G
+    covers = 0
+    inner = longpath.outer_cover
+
+    def counted(*args, **kwargs):
+        nonlocal covers
+        covers += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(longpath, "outer_cover", counted)
+    monkeypatch.setattr(longpath, "DP_WIDTH_CAP", 1)
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    found = 0
+    for seed in range(4):
+        g = intersection_graph(generate_instance(
+            d=2, beta=1.0, n=40, box_side=1.2 * math.sqrt(40), seed=seed))
+        assert max(map(len, g.components())) > 24, seed
+        for k_ in (4, 6, 8):
+            cert = solve_long_path(g, k_, seed=seed)
+            if cert is not None:
+                found += 1
+                assert cert.validate(g) and len(cert) >= k_, (seed, k_)
+    assert covers > 0 and found > 0
