@@ -1,10 +1,11 @@
 """Hamiltonian cycle and path: the input graph first, then partition
 compression past the search budget.
 
-Route (_solve): the trivial cases (empty, disconnected, too small); a
-complete G, answered in id order; a degree rejection (_degree_rejects);
-then the exhaustive search _dfs_ham on G itself under a budget of
-SEARCH_NODES popped nodes.  Only when that budget runs out does the
+Route (_solve): the trivial cases (empty, too small); a complete G,
+answered in id order; a disconnected G, a "no"; a degree rejection
+(_degree_rejects); then the exhaustive search _dfs_ham on G itself under a
+budget of SEARCH_NODES popped nodes, which skips the starts in components
+too small for its target.  Only when that budget runs out does the
 paper's pipeline run: keep the endpoints of every cross edge (the blue
 edges, select_blue_edges), then contract G along the partition (compress):
 every part that is not raw keeps those vertices plus one contracted vertex
@@ -207,7 +208,10 @@ def _dfs_ham(
     raises SearchBudgetExceeded once it has popped more than budget nodes
     over all its starts, and the caller goes on to the DP.  Without one it
     runs to the end, as for small graphs whose decompositions are too wide
-    for the bag DP to pay off."""
+    for the bag DP to pay off.  Starts in components too small for the
+    target are skipped: a start with no neighbour at no cost, and once a
+    start's first pop fails the length bound, every later start in its
+    component."""
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
@@ -222,14 +226,18 @@ def _dfs_ham(
         # starts at the smallest
         pendants = [v for v in range(n) if h.degree(v) == 1]
         starts = pendants[:1] or starts
+    skip = 0  # the starts in components too small for the target
     for s in starts:
+        if skip >> s & 1 or (target > 1 and not masks[s]):
+            continue
         stack: list[tuple[int, int, tuple[int, ...]]] = [(s, 1 << s, (s,))]
         while stack:
             v, used, seq = stack.pop()
             popped += 1
             if popped > limit:
                 raise SearchBudgetExceeded(budget)
-            if len(seq) >= target:
+            depth = len(seq)
+            if depth >= target:
                 if kind == "path" or masks[v] >> s & 1:
                     # with k = n this is a Hamiltonian check
                     return checked(h, kind, seq, target=target)
@@ -248,7 +256,10 @@ def _dfs_ham(
                     rest &= rest - 1
                     grow |= masks[u]
                 frontier = grow & free & ~reach
-            if len(seq) + reach.bit_count() < target:
+            if depth + reach.bit_count() < target:
+                if depth == 1:
+                    # reach is the rest of s's component, which is too small
+                    skip |= reach | 1 << s
                 continue
             cand = masks[v] & free
             while cand:
@@ -384,8 +395,6 @@ def _degree_rejects(h: Graph, kind: str) -> bool:
 def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
     if g.n == 0:
         return None
-    if not g.is_connected():
-        return None
     if kind == "cycle" and g.n < 3:
         return None
     if kind == "path" and g.n == 1:
@@ -393,6 +402,8 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
     if g.m == g.n * (g.n - 1) // 2:
         # a complete graph is trivially traversable in id order
         return checked(g, kind, range(g.n), hamiltonian=True)
+    if not g.is_connected():
+        return None
     dp = hamiltonian_cycle_dp if kind == "cycle" else hamiltonian_path_dp
 
     def past_budget(h: Graph) -> Optional[Certificate]:

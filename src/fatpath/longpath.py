@@ -2,12 +2,13 @@
 the shared contraction, then G itself, exactly or by randomized
 low-treewidth covers.
 
-The route, cheapest first: k <= 3 is answered directly; no component of
-the input with k vertices is an exact "no"; then the exhaustive search
-shared with the Hamiltonian solvers (hamilton._dfs_ham, called here as
-_dfs_longpath) decides G itself under the budget of hamilton.SEARCH_NODES
-popped nodes.  Only when that budget runs out is the paper's partition
-built (kappa_partition, refine_to_linked), and the contraction both solvers
+The route, cheapest first: k <= 3 is answered directly; then the
+exhaustive search shared with the Hamiltonian solvers (hamilton._dfs_ham,
+called here as _dfs_longpath) decides G itself under the budget of
+hamilton.SEARCH_NODES popped nodes, skipping the components of fewer than
+k vertices.  Only when that budget runs out are G's components listed (none
+of k vertices is an exact "no"), the paper's partition built
+(kappa_partition, refine_to_linked), and the contraction both solvers
 share (hamilton.compress, called here as build_weighted) makes H once.
 mark keeps every vertex, so H is G with every part that is not raw made a
 clique: it has every edge of G on the same vertices.  When H has more edges
@@ -20,11 +21,13 @@ out, or a lift that raises FallbackRequired, goes on to G itself.
 G is restricted to its components of at least k vertices, which alone can
 hold the path.  That subgraph is decided exactly by the bag DP when its
 decomposition is at most DP_WIDTH_CAP wide, or it has at most 24 vertices
-(small wide graphs go to the unbudgeted search instead).  Otherwise
-randomized ball-carving covers (outer_cover, then pattern_cover on wide
-pieces) select low-treewidth induced subgraphs across repetitions, in the
-manner of Marx and Pilipczuk's low-treewidth pattern covering (ESA 2017);
-YES answers are certified, NO answers are one-sided.
+(small wide graphs go to the unbudgeted search instead).  Otherwise a
+component of exactly k vertices is decided exactly by the Hamiltonian path
+solver, and on the larger ones randomized ball-carving covers (outer_cover,
+then pattern_cover on wide pieces) select low-treewidth induced subgraphs
+across repetitions, in the manner of Marx and Pilipczuk's low-treewidth
+pattern covering (ESA 2017); YES answers are certified, NO answers are
+one-sided, and exact when no component has more than k vertices.
 """
 
 from __future__ import annotations
@@ -260,25 +263,26 @@ def solve_long_path(
     cfg: Optional[SolverConfig] = None,
     seed: int = 0,
 ) -> Optional[Certificate]:
-    cfg = cfg or SolverConfig()
     if k < 1:
         raise ValueError(f"k must be >= 1 (got {k})")
     if g.n < k:
         return None
     if k <= 3:
         return _direct_small(g, k)
-    # a path lies inside one component
-    big = [comp for comp in g.components() if len(comp) >= k]
-    if not big:
-        return None
     try:
-        # a search that ends without a path is an exact "no"
+        # a search that ends without a path is an exact "no"; it skips the
+        # components of fewer than k vertices
         return _dfs_longpath(g, k=k, budget=hamilton.SEARCH_NODES)
     except SearchBudgetExceeded:
         pass
 
-    # past the budget, one try on H, which has every edge of G on the same
-    # vertices; with no more edges it is G, on which the search has run out
+    # past the budget: a path lies inside one component
+    big = [comp for comp in g.components() if len(comp) >= k]
+    if not big:
+        return None
+    cfg = cfg or SolverConfig()
+    # one try on H, which has every edge of G on the same vertices; with no
+    # more edges it is G, on which the search has run out
     p, _q = refine_to_linked(g, kappa_partition(g), cfg)
     wc = build_weighted(g, p, mark(g, p))
     if wc.h.m != g.m:
@@ -297,7 +301,20 @@ def solve_long_path(
     if td.width <= DP_WIDTH_CAP or sub.n <= 24:
         cert = weighted_longpath_dp(sub, td, k)
     else:
-        cert = _cover_route(sub, k, cfg, seed)
+        # a path on all k vertices of a component is a Hamiltonian path of
+        # it, decided exactly; only larger components go to the covers
+        cert = None
+        for comp in big:
+            if len(comp) == k:
+                piece, ids = g.induced(comp)
+                cert = hamilton.solve_hamiltonian_path(piece, cfg)
+                if cert is not None:
+                    break
+        else:
+            larger = [v for comp in big if len(comp) > k for v in comp]
+            if larger:
+                sub, ids = g.induced(larger)
+                cert = _cover_route(sub, k, cfg, seed)
     if cert is None:
         return None
     return checked(g, "path", [ids[v] for v in cert.vertices], target=k)

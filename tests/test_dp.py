@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from test_search import max_path_vertices, random_graph
+from helpers import random_graph
+from test_search import max_path_vertices
 
 from fatpath import dp, hamilton
 from fatpath.certificates import Certificate

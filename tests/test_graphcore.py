@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import networkx as nx
 import pytest
@@ -17,6 +16,8 @@ from fatpath.graphs import (
 )
 from fatpath.oracle import separator_enum
 
+from helpers import random_graph
+
 PETERSEN = Graph(10, [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -30,12 +31,6 @@ def k(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 def test_ball_r1_is_vertex_plus_neighbors():

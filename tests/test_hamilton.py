@@ -21,6 +21,8 @@ from fatpath.oracle import held_karp_cycle, held_karp_path
 from fatpath.partition import SolverConfig, kappa_partition, refine_to_linked
 from fatpath.treewidth import heuristic_decomposition
 
+from helpers import random_graph
+
 
 def k(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
@@ -28,12 +30,6 @@ def k(n):
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 def refined(g, cfg=None):

@@ -23,11 +23,7 @@ from fatpath.oracle import held_karp_cycle, held_karp_path, longest_path_exact
 from fatpath.partition import RAW, SolverConfig, kappa_partition, refine_to_linked
 from fatpath.treewidth import heuristic_decomposition
 
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
+from helpers import random_graph
 
 
 def _count_raises(monkeypatch, module, name, counts):

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -10,6 +9,8 @@ from fatpath.linkage import (
     is_hamiltonian_l_linked,
 )
 
+from helpers import random_graph
+
 
 def k(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
@@ -17,12 +18,6 @@ def k(n):
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 def test_request_rejects_repeated_endpoints():

@@ -1,6 +1,5 @@
 import itertools
 import os
-import random
 import subprocess
 import sys
 
@@ -18,6 +17,8 @@ from fatpath.oracle import (
     treewidth_exact,
 )
 
+from helpers import random_graph
+
 
 def k(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
@@ -29,12 +30,6 @@ def cycle(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 def test_hk_cycle_c5():

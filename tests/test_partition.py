@@ -19,6 +19,8 @@ from fatpath.partition import (
     separator_tree,
 )
 
+from helpers import random_graph
+
 
 def k(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
@@ -26,12 +28,6 @@ def k(n):
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 def test_kappa_k5_single_part():

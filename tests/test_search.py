@@ -15,11 +15,7 @@ from fatpath import hamilton, longpath
 from fatpath.graphs import Graph
 from fatpath.oracle import held_karp_cycle, held_karp_path, longest_path_exact
 
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
+from helpers import disjoint_union, random_graph
 
 
 def gnp_cases(count, n_max, base):
@@ -134,3 +130,84 @@ def test_solvers_fall_back_to_the_dp_past_the_budget(monkeypatch):
             if cert is not None:
                 assert cert.validate(g) and len(cert) >= k, (seed, k)
     assert {"cycle", "path", "longpath"} <= set(calls)
+
+
+def small_components(rng, k, count):
+    """count G(n,p) graphs of 1 to k - 1 vertices, so every component of
+    their union is too small for a path on k vertices."""
+    return [random_graph(rng.randint(1, k - 1), rng.uniform(0.3, 0.9),
+                         rng.randrange(1 << 30)) for _ in range(count)]
+
+
+def non_isolated_components(g):
+    return sum(len(comp) > 1 for comp in g.components())
+
+
+def least_budget(g, k):
+    """The fewest popped nodes with which the search on g decides k."""
+    def decided(budget):
+        try:
+            longpath._dfs_longpath(g, k=k, budget=budget)
+        except hamilton.SearchBudgetExceeded:
+            return False
+        return True
+
+    lo, hi = -1, 1  # hi decides; lo does not, or is below every budget
+    while not decided(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if decided(mid) else (mid, hi)
+    return hi
+
+
+def test_search_skips_components_too_small_for_k():
+    # small components first, then one of at least k vertices holding the
+    # highest ids: the search on the whole graph finds what the search on
+    # that component finds, and spends one node per small component with an
+    # edge on the way
+    rng = random.Random(9500)
+    for case in range(20):
+        k = rng.randint(4, 8)
+        big = random_graph(rng.randint(k, 11), rng.uniform(0.25, 0.6), 9500 + case)
+        small = small_components(rng, k, rng.randint(1, 12))
+        g = disjoint_union(small + [big])
+        offset = g.n - big.n
+        for k_ in (k, k + 1, big.n):
+            alone = longpath._dfs_longpath(big, k=k_)
+            cert = longpath._dfs_longpath(g, k=k_)
+            if alone is None:
+                assert cert is None, (case, k_)
+            else:
+                assert cert.vertices == tuple(offset + v for v in alone.vertices), (case, k_)
+                assert cert.validate(g) and len(cert) >= k_, (case, k_)
+            skipped = non_isolated_components(disjoint_union(small))
+            assert least_budget(g, k_) == least_budget(big, k_) + skipped, (case, k_)
+
+
+def test_search_rejects_components_too_small_within_one_node_each():
+    rng = random.Random(9600)
+    for case in range(20):
+        k = rng.randint(4, 9)
+        g = disjoint_union(small_components(rng, k, rng.randint(1, 15)))
+        budget = non_isolated_components(g)
+        assert longpath._dfs_longpath(g, k=k, budget=budget) is None, case
+        if budget:
+            with pytest.raises(hamilton.SearchBudgetExceeded):
+                longpath._dfs_longpath(g, k=k, budget=budget - 1)
+
+
+def test_long_path_rejects_components_too_small_before_the_partition(monkeypatch):
+    # with no budget the search stops at its first node, and the component
+    # sizes past it decide these graphs before any partition is built
+    def partition(*args, **kwargs):
+        raise AssertionError("the partition was built")
+
+    monkeypatch.setattr(longpath, "kappa_partition", partition)
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    rng = random.Random(9700)
+    for case in range(20):
+        k = rng.randint(4, 9)
+        g = disjoint_union(small_components(rng, k, rng.randint(2, 15)))
+        if g.n >= k:
+            assert longpath.solve_long_path(g, k) is None, case

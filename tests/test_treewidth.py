@@ -10,6 +10,8 @@ from fatpath.graphs import Graph
 from fatpath.oracle import treewidth_exact
 from fatpath.treewidth import TreeDecomposition, heuristic_decomposition, validate
 
+from helpers import random_graph
+
 
 def grid(rows, cols):
     def idx(r, c):
@@ -22,12 +24,6 @@ def grid(rows, cols):
             if r + 1 < rows:
                 edges.append((idx(r, c), idx(r + 1, c)))
     return Graph(rows * cols, edges)
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 def test_validate_single_bag():
