@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -151,6 +152,29 @@ def test_pattern_cover_abort_path():
     assert hit is not None
     assert hit.vertices == frozenset()
     assert hit.records[-1]["aborted"] is True
+
+
+def test_covers_match_their_golden_digest():
+    # both covers on fixed G(n, p) and geometric graphs, every field of the
+    # pattern cover included: a change to the carving, or to the order in
+    # which it draws from its generator, changes the digest
+    h = hashlib.sha256()
+    for s in range(3):
+        for g in (
+            random_graph(40, 0.1, s),
+            random_graph(30, 0.4, 10 + s),
+            intersection_graph(generate_instance(
+                d=2, beta=1.0, n=50, box_side=1.2 * math.sqrt(50), seed=s)),
+            intersection_graph(generate_instance(
+                d=2, beta=2.0, n=40, box_side=math.sqrt(40), shape_mix=0.5, seed=s)),
+        ):
+            for k_ in (4, 8, 17, 30):
+                for seed in range(4):
+                    h.update(repr(sorted(outer_cover(g, k_, seed))).encode())
+                    c = pattern_cover(g, k_, seed)
+                    h.update(repr((sorted(c.vertices), c.clusters, sorted(c.boundary),
+                                   c.aborted, c.seed, c.records)).encode())
+    assert h.hexdigest() == "543dd42398d237db23cf60fccc933fc8279598dec8fc2bf34271e9a0fbcd6ea7"
 
 
 def test_weighted_dp_path_graph():

@@ -9,7 +9,7 @@ import importlib.util
 import math
 import os
 
-from fatpath import hamilton, solve_hamiltonian_cycle, solve_hamiltonian_path, solve_long_path
+from fatpath import hamilton, longpath, solve_hamiltonian_cycle, solve_hamiltonian_path, solve_long_path
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
 from fatpath.partition import SolverConfig
@@ -57,3 +57,19 @@ def test_traced_solves_yield_layer_metrics(monkeypatch):
     assert any(s.name == "linkage" for s in tracer.spans)
     metrics = spans.layer_metrics(tracer.spans, {})
     assert metrics["trace.solves"][0] == len(solves)
+
+
+def test_traced_cover_route_yields_cover_metrics(monkeypatch):
+    # no budget and a width cap of 1 send this long path solve past H to
+    # the cover route, where one outer cover piece goes on to a pattern cover
+    spans = load_spans()
+    monkeypatch.setattr(longpath, "DP_WIDTH_CAP", 1)
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    g = intersection_graph(generate_instance(
+        d=2, beta=1.0, n=40, box_side=1.2 * math.sqrt(40), seed=0))
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.solve(0, "solve.longpath", g.n):
+        assert solve_long_path(g, 4) is not None
+    metrics = spans.layer_metrics(tracer.spans, {})
+    for name in ("longpath.route.cover", "longpath.cover_reps", "longpath.pattern_calls"):
+        assert metrics[name][0] > 0, name
