@@ -7,7 +7,7 @@ adjacency stored as frozensets.  No weights, no directions, no mutation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 __all__ = [
     "Graph",
@@ -95,10 +95,14 @@ class Graph:
                     queue.append(w)
         return len(seen) == self.n
 
-    def components(self) -> list[list[int]]:
+    def components(self, within: Optional[Iterable[int]] = None) -> list[list[int]]:
+        """The connected components, each a sorted vertex list, in the order
+        of their lowest vertex.  Given within, those of the subgraph induced
+        on it: the components of self.induced(within), in this graph's ids."""
+        keep = range(self.n) if within is None else set(within)
         seen: set[int] = set()
         comps = []
-        for s in range(self.n):
+        for s in sorted(keep):
             if s in seen:
                 continue
             comp = [s]
@@ -107,7 +111,7 @@ class Graph:
             while queue:
                 u = queue.popleft()
                 for w in self._adj[u]:
-                    if w not in seen:
+                    if w not in seen and w in keep:
                         seen.add(w)
                         comp.append(w)
                         queue.append(w)
@@ -140,12 +144,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-def bfs_ball(g: Graph, v: int, r: int) -> tuple[frozenset[int], frozenset[int]]:
+def bfs_ball(
+    g: Graph, v: int, r: int, within: Optional[Collection[int]] = None
+) -> tuple[frozenset[int], frozenset[int]]:
     """Vertices at distance < r from v, and those at distance exactly r.
 
-    The ball always contains v; ball and boundary are disjoint.
+    The ball always contains v; ball and boundary are disjoint.  Given
+    within, which must contain v, distances are those of the subgraph
+    induced on it: the ball of g.induced(within), in g's ids.
     """
-    if not (0 <= v < g.n):
+    keep = range(g.n) if within is None else within
+    if not (0 <= v < g.n) or v not in keep:
         raise ValueError(f"vertex {v} out of range")
     if r < 1:
         raise ValueError("radius must be >= 1")
@@ -162,7 +171,7 @@ def bfs_ball(g: Graph, v: int, r: int) -> tuple[frozenset[int], frozenset[int]]:
             boundary.add(u)
             continue  # do not expand past distance r
         for w in g.neighbors(u):
-            if w not in dist:
+            if w not in dist and w in keep:
                 dist[w] = du + 1
                 queue.append(w)
     return frozenset(ball), frozenset(boundary)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -57,6 +58,22 @@ def test_ball_matches_shortest_path_oracle():
             ball, boundary = bfs_ball(g, v, r)
             assert ball == {u for u, d in dist.items() if d < r}
             assert boundary == {u for u, d in dist.items() if d == r}
+    # within a vertex subset: the ball and the components of the induced
+    # subgraph, in g's ids
+    rng = random.Random(7)
+    for size in (1, 5, 12, 20, 30):
+        within = set(rng.sample(range(30), size))
+        sub, ids = g.induced(within)
+        assert g.components(within) == [[ids[x] for x in c] for c in sub.components()]
+        for x in range(sub.n):
+            for r in range(1, 7):
+                ball, boundary = bfs_ball(sub, x, r)
+                assert bfs_ball(g, ids[x], r, within) == (
+                    {ids[u] for u in ball}, {ids[u] for u in boundary})
+        outside = min(set(range(30)) - within, default=None)
+        if outside is not None:
+            with pytest.raises(ValueError):
+                bfs_ball(g, outside, 1, within)
 
 
 def test_mis_k5_singleton():
