@@ -96,9 +96,8 @@ class Graph:
         return len(seen) == self.n
 
     def components(self, within: Optional[Iterable[int]] = None) -> list[list[int]]:
-        """The connected components, each a sorted vertex list, in the order
-        of their lowest vertex.  Given within, those of the subgraph induced
-        on it: the components of self.induced(within), in this graph's ids."""
+        """The connected components as sorted lists, by lowest vertex; given
+        within, those of self.induced(within), in this graph's ids."""
         keep = range(self.n) if within is None else set(within)
         seen: set[int] = set()
         comps = []
@@ -177,14 +176,11 @@ def bfs_ball(
     return frozenset(ball), frozenset(boundary)
 
 
-def greedy_mis(g: Graph, order: Optional[Iterable[int]] = None) -> frozenset[int]:
-    """Maximal independent set by scanning `order` (default: ascending id)."""
-    scan = list(order) if order is not None else list(range(g.n))
-    if sorted(scan) != list(range(g.n)):
-        raise ValueError("order must be a permutation of 0..n-1")
+def greedy_mis(g: Graph) -> frozenset[int]:
+    """Maximal independent set by scanning the vertices in ascending id."""
     taken: set[int] = set()
     blocked: set[int] = set()
-    for v in scan:
+    for v in range(g.n):
         if v not in blocked:
             taken.add(v)
             blocked.add(v)

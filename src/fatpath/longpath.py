@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -84,26 +84,36 @@ def mark(g: Graph, p: Partition) -> frozenset[int]:
     return frozenset(range(g.n))
 
 
-def outer_cover(g: Graph, k: int, seed: int, c: float = 4.0) -> frozenset[int]:
-    """Iterative ball carving: keep a geometric-radius ball around the lowest
-    remaining vertex, discard its boundary, repeat.  Every component of the
-    output has BFS radius at most ceil(c*k*log2(k)); the probability that any
-    fixed k-subset survives intact is bounded below empirically."""
+def _carve(
+    g: Graph, rng: np.random.Generator, p: float, cap: int
+) -> Iterator[tuple[int, int, frozenset[int], frozenset[int]]]:
+    """Ball carving on g: while vertices are left, grow a ball of radius
+    min(Geometric(p), cap) around the lowest one through the vertices still
+    left, and remove the ball and its boundary.  Yields (center, radius,
+    ball, boundary) per ball; each radius is drawn when its ball is asked
+    for, so a caller's own draws between balls keep their place in rng."""
+    remaining = set(range(g.n))
+    center = 0
+    while remaining:
+        while center not in remaining:
+            center += 1
+        r = min(int(rng.geometric(p)), cap)
+        ball, boundary = bfs_ball(g, center, r, remaining)
+        remaining -= ball | boundary
+        yield center, r, ball, boundary
+
+
+def outer_cover(g: Graph, k: int, seed: int) -> frozenset[int]:
+    """The balls of a carving with success probability 1/(2k) and radius
+    cap ceil(4*k*log2(k)), boundaries dropped.  Every component of the
+    output is one ball, whose centre reaches all of it within the cap; the
+    probability that any fixed k-subset survives intact is bounded below
+    empirically."""
     if k < 4:
         raise ValueError("k must be >= 4")
-    rng = np.random.default_rng(seed)
-    cap = max(1, math.ceil(c * k * math.log2(k)))
-    p = 1.0 / (2 * k)
-    remaining = set(range(g.n))
-    kept: set[int] = set()
-    while remaining:
-        sub, ids = g.induced(remaining)
-        v = 0  # ids is sorted, so sub vertex 0 is the lowest remaining id
-        r = min(int(rng.geometric(p)), cap)
-        ball, boundary = bfs_ball(sub, v, r)
-        kept.update(ids[x] for x in ball)
-        remaining.difference_update(ids[x] for x in ball | boundary)
-    return frozenset(kept)
+    cap = math.ceil(4 * k * math.log2(k))
+    balls = _carve(g, np.random.default_rng(seed), 1.0 / (2 * k), cap)
+    return frozenset(v for _c, _r, ball, _b in balls for v in ball)
 
 
 @dataclass(frozen=True)
@@ -134,28 +144,20 @@ def pattern_cover(
     p = min(1.0, k ** (-1.0 / d) * math.log2(k))
     big_r = math.ceil(c_r * k ** (1.0 / d))
     l_cap = math.ceil(k ** (1.0 - 1.0 / d) * math.log2(k))
-    n = max(g.n, 1)
-    remaining = set(range(g.n))
     kept: set[int] = set()
     pool: set[int] = set()
     clusters: list[tuple[int, int]] = []
     records: list[dict] = []
-    i = 0
-    while remaining:
-        sub, ids = g.induced(remaining)
-        center = ids[0]
-        r = min(int(rng.geometric(p)), big_r)
-        ball, boundary = bfs_ball(sub, 0, r)
-        kept.update(ids[x] for x in ball)
+    for i, (center, r, ball, boundary) in enumerate(_carve(g, rng, p, big_r)):
+        kept |= ball
         clusters.append((center, r))
         sampled_l = 0
-        if boundary and rng.random() < 1.0 / (k * n):
+        if boundary and rng.random() < 1.0 / (k * g.n):
             sampled_l = int(rng.integers(1, l_cap + 1))
-            bnd = sorted(ids[x] for x in boundary)
+            bnd = sorted(boundary)
             take = min(sampled_l, len(bnd))
             picked = rng.choice(len(bnd), size=take, replace=False)
             pool.update(bnd[int(x)] for x in picked)
-        remaining.difference_update(ids[x] for x in ball | boundary)
         records.append(
             {
                 "i": i,
@@ -167,12 +169,11 @@ def pattern_cover(
                 "aborted": False,
             }
         )
-        i += 1
     aborted = len(pool) > l_cap
     if aborted:
         records.append(
             {
-                "i": i,
+                "i": len(clusters),
                 "v_i": -1,
                 "r_i": 0,
                 "ball_size": 0,
@@ -181,14 +182,11 @@ def pattern_cover(
                 "aborted": True,
             }
         )
-        return CoverSample(
-            frozenset(), tuple(clusters), frozenset(pool), True, seed, tuple(records)
-        )
     return CoverSample(
-        frozenset(kept | pool),
+        frozenset() if aborted else frozenset(kept | pool),
         tuple(clusters),
         frozenset(pool),
-        False,
+        aborted,
         seed,
         tuple(records),
     )
@@ -237,11 +235,10 @@ def _cover_route(
         schedule = min(schedule, math.ceil(2.0**exponent))
     for rep in range(schedule):
         rng = np.random.default_rng(seed + rep)
-        carved, ids = g.induced(outer_cover(g, k, int(rng.integers(1 << 31))))
-        for comp in carved.components():
+        for comp in g.components(outer_cover(g, k, int(rng.integers(1 << 31)))):
             if len(comp) < k:
                 continue
-            piece, at = g.induced(ids[x] for x in comp)
+            piece, at = g.induced(comp)
             td = heuristic_decomposition(piece)
             if td.width > DP_WIDTH_CAP and piece.n > 24:
                 sample = pattern_cover(piece, k, int(rng.integers(1 << 31)), cfg.d)

@@ -142,12 +142,11 @@ class SolverConfig:
             )
 
 
-def kappa_partition(g: Graph, order: Optional[list[int]] = None) -> Partition:
+def kappa_partition(g: Graph) -> Partition:
     """One part per vertex of a greedy maximal independent set; every other
-    vertex joins the part of its smallest-id taken neighbor."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    mis = greedy_mis(g, order)
+    vertex joins the part of its smallest-id taken neighbor.  The empty
+    graph has the empty partition."""
+    mis = greedy_mis(g)
     centers = sorted(mis)
     index = {c: i for i, c in enumerate(centers)}
     groups: list[set[int]] = [{c} for c in centers]
@@ -198,11 +197,9 @@ def separator_tree(g: Graph, x: frozenset[int] | set[int], g_threshold: int) -> 
     sep = find_separator_leq(g, xs, g_threshold)
     if sep is None:
         return SeparatorTree(xs, is_leaf=True)
-    rest = xs - sep
-    sub, orig = g.induced(rest)
     children = tuple(
-        separator_tree(g, frozenset(orig[v] for v in comp), g_threshold)
-        for comp in sub.components()
+        separator_tree(g, frozenset(comp), g_threshold)
+        for comp in g.components(xs - sep)
     )
     return SeparatorTree(sep, is_leaf=False, children=children)
 
@@ -269,8 +266,7 @@ def refine_to_linked(
         if cover is None:
             # the connected pieces of the interior, which make no promise:
             # the contraction keeps them whole
-            sub, orig = g.induced(interior)
-            cover = [frozenset(orig[v] for v in comp) for comp in sub.components()]
+            cover = [frozenset(comp) for comp in g.components(interior)]
         for piece in cover:
             add(piece, RAW)
 

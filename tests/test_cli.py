@@ -225,6 +225,11 @@ def test_partition_output(tmp_path):
     from fatpath.partition import partition_from_json
     p = partition_from_json(out.read_text())
     assert sum(len(x) for x in p.parts) == 5
+    # the empty graph has the empty partition, as ham, longpath and cover
+    # answer it too
+    empty = tmp_path / "empty.txt"
+    empty.write_text("p 0 0\n")
+    assert run(["partition", str(empty)]) == (0, '{"parts":[],"kinds":[]}\n')
 
 
 def test_cover_stats(tmp_path):
