@@ -21,7 +21,7 @@ from fatpath.oracle import held_karp_cycle, held_karp_path
 from fatpath.partition import SolverConfig, kappa_partition, refine_to_linked
 from fatpath.treewidth import heuristic_decomposition
 
-from helpers import random_graph
+from helpers import disjoint_union, random_graph
 
 
 def k(n):
@@ -306,3 +306,20 @@ def test_route_decides_g_before_the_partition(monkeypatch):
         monkeypatch.setattr(hamilton, name, unreachable)
     for kind, solve in (("cycle", solve_hamiltonian_cycle), ("path", solve_hamiltonian_path)):
         assert solve(k(30)) == Certificate(kind, tuple(range(30)))
+
+
+def test_disconnected_graphs_have_no_hamiltonian_cycle_or_path(monkeypatch):
+    # two disjoint cycles pass the degree rejection; at budget 0 the answer
+    # still comes before any partition
+    graphs = [
+        disjoint_union([cycle(4), cycle(5)]),
+        disjoint_union([Graph(5, [(i, i + 1) for i in range(4)]), Graph(1, [])]),
+        disjoint_union([k(4), k(6)]),
+    ]
+    calls = spy(monkeypatch, "kappa_partition")
+    for budget in (hamilton.SEARCH_NODES, 0):
+        monkeypatch.setattr(hamilton, "SEARCH_NODES", budget)
+        for i, g in enumerate(graphs):
+            assert solve_hamiltonian_cycle(g) is None, (budget, i)
+            assert solve_hamiltonian_path(g) is None, (budget, i)
+    assert not calls

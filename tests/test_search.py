@@ -6,6 +6,7 @@ G(n,p) graphs against the oracles, along with its node budget and the
 solvers' fallback to the DP when the budget runs out.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -211,3 +212,31 @@ def test_long_path_rejects_components_too_small_before_the_partition(monkeypatch
         g = disjoint_union(small_components(rng, k, rng.randint(2, 15)))
         if g.n >= k:
             assert longpath.solve_long_path(g, k) is None, case
+
+
+def test_search_matches_its_golden_digest():
+    # the witness and the fewest popped nodes that decide each call, on 300
+    # G(n, p) graphs: a change to the order in which the search visits its
+    # nodes, or to how many it pops, changes the digest
+    h = hashlib.sha256()
+    for i in range(300):
+        n, p = 1 + i // 4 % 14, (0.15, 0.3, 0.5, 0.7)[i % 4]
+        g = random_graph(n, p, 9800 + i)
+        for call in (dict(kind="cycle"), dict(kind="path"),
+                     dict(k=n // 2), dict(k=n - 1)):
+            def decided(budget):
+                try:
+                    hamilton._dfs_ham(g, budget=budget, **call)
+                except hamilton.SearchBudgetExceeded:
+                    return False
+                return True
+
+            lo, hi = -1, 1  # hi decides; lo does not, or is below every budget
+            while not decided(hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if decided(mid) else (mid, hi)
+            cert = hamilton._dfs_ham(g, budget=hi, **call)
+            h.update(repr((cert and cert.vertices, hi)).encode())
+    assert h.hexdigest() == "9f71cfbbf2805b25a234769e8e3c4a548ed39401a293adfa5d7a9c3215f8833f"
