@@ -23,23 +23,15 @@ class Certificate:
 
     def validate(self, g: Graph, hamiltonian: bool = False) -> bool:
         vs = self.vertices
-        if len(vs) != len(set(vs)):
+        if not vs or len(vs) != len(set(vs)):
             return False
-        if any(not 0 <= v < g.n for v in vs):
+        if min(vs) < 0 or max(vs) >= g.n:
             return False
-        if self.kind == "cycle":
-            if len(vs) < 3:
-                return False
-            if not g.has_edge(vs[-1], vs[0]):
-                return False
-        else:
-            if len(vs) < 1:
-                return False
-        if any(not g.has_edge(u, v) for u, v in zip(vs, vs[1:])):
+        if self.kind == "cycle" and (len(vs) < 3 or not g.has_edge(vs[-1], vs[0])):
             return False
-        if hamiltonian and len(vs) != g.n:
+        if not all(map(g.has_edge, vs, vs[1:])):
             return False
-        return True
+        return not hamiltonian or len(vs) == g.n
 
     def serialize(self) -> str:
         return f"{self.kind}: " + " ".join(str(v) for v in self.vertices)

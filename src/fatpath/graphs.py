@@ -58,6 +58,10 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, in id order."""
+        return list(map(len, self._adj))
+
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 

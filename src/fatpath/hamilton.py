@@ -2,10 +2,12 @@
 compression past the search budget.
 
 Route (_solve): the trivial cases (empty, too small); a complete G,
-answered in id order; a disconnected G, a "no"; a degree rejection
-(_degree_rejects); then the exhaustive search _dfs_ham on G itself under a
-budget of SEARCH_NODES popped nodes, which skips the starts in components
-too small for its target.  Only when that budget runs out does the
+answered in id order; a degree rejection (_degree_rejects); then the
+exhaustive search _dfs_ham on G itself under a budget of SEARCH_NODES
+popped nodes, which skips the starts in components too small for its
+target.  The search also decides a disconnected G, a "no": a cycle at its
+first pop, a path after one pop per component.  Only when that budget runs
+out is connectivity checked, a disconnected G again a "no", and does the
 paper's pipeline run: keep the endpoints of every cross edge (the blue
 edges, select_blue_edges), then contract G along the partition (compress):
 every part that is not raw keeps those vertices plus one contracted vertex
@@ -211,7 +213,12 @@ def _dfs_ham(
     for the bag DP to pay off.  Starts in components too small for the
     target are skipped: a start with no neighbour at no cost, and once a
     start's first pop fails the length bound, every later start in its
-    component."""
+    component.
+
+    The search walks one path: seq, the mask of the vertices still free,
+    and per vertex of seq the mask of its candidates not yet tried.  It
+    extends seq by the highest untried candidate, so a child is built only
+    when it is popped, and undoes it on the way back."""
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
@@ -224,48 +231,64 @@ def _dfs_ham(
     if kind == "path" and k is None:
         # a Hamiltonian path ends at every degree-1 vertex, so one reversed
         # starts at the smallest
-        pendants = [v for v in range(n) if h.degree(v) == 1]
+        pendants = [v for v, d in enumerate(h.degrees()) if d == 1]
         starts = pendants[:1] or starts
     skip = 0  # the starts in components too small for the target
     for s in starts:
         if skip >> s & 1 or (target > 1 and not masks[s]):
             continue
-        stack: list[tuple[int, int, tuple[int, ...]]] = [(s, 1 << s, (s,))]
-        while stack:
-            v, used, seq = stack.pop()
+        seq = [s]
+        free = full ^ 1 << s
+        todo: list[int] = []  # per vertex of seq, its untried candidates
+        while seq:
+            # seq has just grown by its last vertex: one popped node
             popped += 1
             if popped > limit:
                 raise SearchBudgetExceeded(budget)
+            v = seq[-1]
             depth = len(seq)
+            cand = 0
             if depth >= target:
                 if kind == "path" or masks[v] >> s & 1:
                     # with k = n this is a Hamiltonian check
                     return checked(h, kind, seq, target=target)
-                continue
-            # length bound: only unvisited vertices reachable from the active
-            # end through unvisited vertices can still join the path
-            free = ~used & full
-            frontier = masks[v] & free
-            reach = 0
-            while frontier:
-                reach |= frontier
-                grow = 0
-                rest = frontier
-                while rest:
-                    u = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    grow |= masks[u]
-                frontier = grow & free & ~reach
-            if depth + reach.bit_count() < target:
-                if depth == 1:
-                    # reach is the rest of s's component, which is too small
-                    skip |= reach | 1 << s
-                continue
-            cand = masks[v] & free
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                stack.append((u, used | (1 << u), seq + (u,)))
+            else:
+                # length bound: only free vertices reachable from the active
+                # end through free vertices can still join the path; stop
+                # growing reach once it holds enough of them
+                need = target - depth
+                frontier = masks[v] & free
+                reach = 0
+                while frontier:
+                    reach |= frontier
+                    if reach.bit_count() >= need:
+                        cand = masks[v] & free
+                        break
+                    grow = 0
+                    rest = frontier
+                    while rest:
+                        u = (rest & -rest).bit_length() - 1
+                        rest &= rest - 1
+                        grow |= masks[u]
+                    frontier = grow & free & ~reach
+                else:
+                    if depth == 1:
+                        # reach is the rest of s's component, which is too small
+                        skip |= reach | 1 << s
+            if cand:
+                todo.append(cand)
+            else:
+                free |= 1 << seq.pop()
+            # back up past the vertices with no candidate left, then take
+            # the highest untried one: the order a stack of children pops
+            while todo and not todo[-1]:
+                todo.pop()
+                free |= 1 << seq.pop()
+            if todo:
+                u = todo[-1].bit_length() - 1
+                todo[-1] ^= 1 << u
+                seq.append(u)
+                free ^= 1 << u
     return None
 
 
@@ -386,13 +409,13 @@ def _degree_rejects(h: Graph, kind: str) -> bool:
     """True when vertex degrees alone rule out a Hamiltonian cycle (a vertex
     of degree < 2) or path (an isolated vertex, or more than two of degree 1)
     on more than one vertex."""
-    degrees = [h.degree(v) for v in range(h.n)]
+    degrees = h.degrees()
     if kind == "cycle":
         return min(degrees, default=0) < 2
     return h.n > 1 and (0 in degrees or degrees.count(1) > 2)
 
 
-def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
+def _solve(g: Graph, cfg: Optional[SolverConfig], kind: str) -> Optional[Certificate]:
     if g.n == 0:
         return None
     if kind == "cycle" and g.n < 3:
@@ -402,8 +425,19 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
     if g.m == g.n * (g.n - 1) // 2:
         # a complete graph is trivially traversable in id order
         return checked(g, kind, range(g.n), hamiltonian=True)
+    if _degree_rejects(g, kind):
+        return None
+    try:
+        # on a disconnected G the search ends with None: a cycle at its first
+        # pop, a path after one pop per component
+        return _dfs_ham(g, kind, budget=SEARCH_NODES)
+    except SearchBudgetExceeded:
+        pass
+
+    # past the budget: the paper's pipeline, on a connected G only
     if not g.is_connected():
         return None
+    cfg = cfg or SolverConfig()
     dp = hamiltonian_cycle_dp if kind == "cycle" else hamiltonian_path_dp
 
     def past_budget(h: Graph) -> Optional[Certificate]:
@@ -423,15 +457,8 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
             pass
         return past_budget(h)
 
-    if _degree_rejects(g, kind):
-        return None
-    try:
-        return _dfs_ham(g, kind, budget=SEARCH_NODES)
-    except SearchBudgetExceeded:
-        pass
-
-    # past the budget: the paper's pipeline.  Where H would be G, the search
-    # has already spent its budget on it, so G goes straight to past_budget.
+    # where H would be G, the search has already spent its budget on it, so
+    # G goes straight to past_budget
     if g.n <= 3:
         return past_budget(g)
     p0 = kappa_partition(g)
@@ -458,10 +485,10 @@ def _solve(g: Graph, cfg: SolverConfig, kind: str) -> Optional[Certificate]:
 def solve_hamiltonian_cycle(
     g: Graph, cfg: Optional[SolverConfig] = None
 ) -> Optional[Certificate]:
-    return _solve(g, cfg or SolverConfig(), "cycle")
+    return _solve(g, cfg, "cycle")
 
 
 def solve_hamiltonian_path(
     g: Graph, cfg: Optional[SolverConfig] = None
 ) -> Optional[Certificate]:
-    return _solve(g, cfg or SolverConfig(), "path")
+    return _solve(g, cfg, "path")

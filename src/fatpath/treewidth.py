@@ -128,7 +128,7 @@ def _min_fill_decomposition(g: Graph) -> TreeDecomposition:
     if g.n == 1:
         return TreeDecomposition((frozenset({0}),), ())
     adj = g.adjacency_masks()
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = g.degrees()
     alive = list(range(g.n))
     eliminated: list[tuple[int, int]] = []  # (vertex, its neighbours then)
     while (v := _min_fill_vertex(adj, deg, alive)) is not None:

@@ -144,11 +144,11 @@ def non_isolated_components(g):
     return sum(len(comp) > 1 for comp in g.components())
 
 
-def least_budget(g, k):
-    """The fewest popped nodes with which the search on g decides k."""
+def least_budget(g, **call):
+    """The fewest popped nodes with which the search on g decides call."""
     def decided(budget):
         try:
-            longpath._dfs_longpath(g, k=k, budget=budget)
+            longpath._dfs_longpath(g, budget=budget, **call)
         except hamilton.SearchBudgetExceeded:
             return False
         return True
@@ -183,7 +183,7 @@ def test_search_skips_components_too_small_for_k():
                 assert cert.vertices == tuple(offset + v for v in alone.vertices), (case, k_)
                 assert cert.validate(g) and len(cert) >= k_, (case, k_)
             skipped = non_isolated_components(disjoint_union(small))
-            assert least_budget(g, k_) == least_budget(big, k_) + skipped, (case, k_)
+            assert least_budget(g, k=k_) == least_budget(big, k=k_) + skipped, (case, k_)
 
 
 def test_search_rejects_components_too_small_within_one_node_each():
@@ -224,19 +224,7 @@ def test_search_matches_its_golden_digest():
         g = random_graph(n, p, 9800 + i)
         for call in (dict(kind="cycle"), dict(kind="path"),
                      dict(k=n // 2), dict(k=n - 1)):
-            def decided(budget):
-                try:
-                    hamilton._dfs_ham(g, budget=budget, **call)
-                except hamilton.SearchBudgetExceeded:
-                    return False
-                return True
-
-            lo, hi = -1, 1  # hi decides; lo does not, or is below every budget
-            while not decided(hi):
-                lo, hi = hi, 2 * hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if decided(mid) else (mid, hi)
-            cert = hamilton._dfs_ham(g, budget=hi, **call)
-            h.update(repr((cert and cert.vertices, hi)).encode())
+            need = least_budget(g, **call)
+            cert = hamilton._dfs_ham(g, budget=need, **call)
+            h.update(repr((cert and cert.vertices, need)).encode())
     assert h.hexdigest() == "9f71cfbbf2805b25a234769e8e3c4a548ed39401a293adfa5d7a9c3215f8833f"
