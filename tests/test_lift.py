@@ -7,7 +7,9 @@ fallback rounds: the blamed part is kept whole and the solve is retried.
 The long path solver instead leaves the verdict to G itself.
 """
 
+import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -18,9 +20,16 @@ import pytest
 import fatpath
 from fatpath import hamilton, longpath
 from fatpath.certificates import CertificateError, checked
+from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
 from fatpath.oracle import held_karp_cycle, held_karp_path, longest_path_exact
-from fatpath.partition import RAW, SolverConfig, kappa_partition, refine_to_linked
+from fatpath.partition import (
+    RAW,
+    SolverConfig,
+    kappa_partition,
+    partition_to_json,
+    refine_to_linked,
+)
 from fatpath.treewidth import heuristic_decomposition
 
 from helpers import random_graph
@@ -206,3 +215,39 @@ def test_certificate_check_survives_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
     assert done.returncode == 0
+
+
+def _past_budget_outputs(cfg):
+    """Every solver output at search budget 0 (the pipeline, the DP and the
+    lift) on seeded G(n, p), n = 0-12, and a few beta=2 graphs, one line per
+    call: a certificate, "none", or the name of the exception raised."""
+    graphs = [random_graph(n, (0.25, 0.45, 0.7)[s], 7100 + 3 * n + s)
+              for n in range(13) for s in range(3)]
+    for seed in range(3):
+        graphs.append(intersection_graph(generate_instance(
+            d=2, beta=2.0, n=10, box_side=math.sqrt(10), shape_mix=0.5, seed=seed)))
+    for g in graphs:
+        calls = [lambda: hamilton.solve_hamiltonian_cycle(g, cfg),
+                 lambda: hamilton.solve_hamiltonian_path(g, cfg)]
+        calls += [lambda k=k: longpath.solve_long_path(g, k, cfg)
+                  for k in sorted({4, g.n // 2, g.n} - {0})]
+        calls.append(lambda: partition_to_json(
+            refine_to_linked(g, kappa_partition(g), cfg)[0]))
+        for call in calls:
+            try:
+                out = call()
+            except Exception as exc:
+                out = type(exc).__name__
+            yield out if isinstance(out, str) else "none" if out is None else out.serialize()
+
+
+def test_past_budget_route_matches_its_golden_digest(monkeypatch):
+    # with no search budget every solve takes the route past it: a change to
+    # the partition, the contraction, the DP or the lift that alters any
+    # verdict, certificate or part changes the digest
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    h = hashlib.sha256()
+    for threshold in (1, 8):
+        for line in _past_budget_outputs(SolverConfig(g_threshold=threshold)):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "740fd429e68c6d39758903fea68ea30d9193067bc315ab0648e57d2452c593c8"
