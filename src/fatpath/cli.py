@@ -104,8 +104,8 @@ def cmd_partition(args) -> int:
     stats = {
         "parts": len(p.parts),
         "kinds": kinds,
-        "quotient_n": q.graph.n,
-        "quotient_m": q.graph.m,
+        "quotient_n": q.n,
+        "quotient_m": q.m,
     }
     print(json.dumps(stats), file=sys.stderr)
     return 0

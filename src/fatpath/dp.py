@@ -14,7 +14,10 @@ done flag set once the single final cycle/path has closed.  The number of
 committed final ends is the number of FINAL markers; there are at most two.
 Each state keeps one representative edge list for certificate
 reconstruction; in longpath mode the representative with the most vertices
-wins.
+wins.  solve_dp turns the root's edge list into a vertex sequence and
+returns it through certificates.checked (Hamiltonian for cycle and path,
+at least target vertices for longpath), so every DP witness is checked here
+and callers get a Certificate or None.
 
 The tree is rooted at node 0 and solved children first.  Every vertex is
 forgotten at its top node, the node nearest the root whose bag holds it,
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .certificates import Certificate, checked
 from .graphs import Graph
 from .treewidth import TreeDecomposition
 
@@ -121,29 +125,42 @@ class _Table:
         if cur is None or size > cur[0]:
             self.data[state] = (size, edges)
 
-    def items(self):
-        return self.data.items()
-
 
 def solve_dp(
     h: Graph,
     td: TreeDecomposition,
     mode: str,
     target: int = 0,
-) -> Optional[list[tuple[int, int]]]:
-    """Run the DP; return the chosen edge list of a witness, or None.
+) -> Optional[Certificate]:
+    """Run the DP; return the checked certificate of a witness, or None.
 
-    For mode "longpath" the witness is a longest path, if it has at least
-    target vertices and at least one edge (single-vertex paths are the
-    caller's job).  ValueError if td misses a vertex or an edge of h, or the
-    bags holding a vertex are not connected.
+    Modes "cycle" and "path" ask for a Hamiltonian cycle or path of h;
+    mode "longpath" for a longest path, if it has at least target vertices
+    and at least one edge (single-vertex paths are the caller's job).
+    ValueError if td misses a vertex or an edge of h, or the bags holding a
+    vertex are not connected.  CertificateError if the witness the tables
+    give does not validate: a bug in the DP, never a verdict.
     """
     if mode not in ("cycle", "path", "longpath"):
         raise ValueError(f"unknown mode {mode!r}")
     if h.n == 0:
         return None
-    optional = mode == "longpath"
+    if mode == "path" and h.n == 1:
+        return Certificate("path", (0,))  # no edge for the tables to hold
+    edges = _witness(h, td, mode, target)
+    if edges is None:
+        return None
+    if mode == "longpath":
+        return checked(h, "path", _edges_to_sequence(edges, "path"), target=target)
+    return checked(h, mode, _edges_to_sequence(edges, mode), hamiltonian=True)
 
+
+def _witness(
+    h: Graph, td: TreeDecomposition, mode: str, target: int
+) -> Optional[list[tuple[int, int]]]:
+    """The tables over td, children first; the edge list of the witness
+    that the root keeps, or None."""
+    optional = mode == "longpath"
     postorder, parent, children = _root_order(td)
     forgotten_at, owned = _forget_schedule(h, td, postorder, parent)
 
@@ -176,6 +193,33 @@ def solve_dp(
     return found[1]
 
 
+def _edges_to_sequence(edges: list[tuple[int, int]], kind: str) -> Optional[list[int]]:
+    """Turn a chosen edge set into a cycle or path vertex sequence."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if not adj:
+        return None
+    if kind == "cycle":
+        start = min(adj)
+    else:
+        ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
+        if len(ends) != 2:
+            return None
+        start = ends[0]
+    seq = [start]
+    prev = None
+    while len(seq) < len(adj):
+        # at the start of a cycle both neighbors are open; take the smaller
+        nxt = [x for x in adj[seq[-1]] if x != prev]
+        if not nxt or (kind == "cycle" and min(nxt) == start):
+            break
+        prev = seq[-1]
+        seq.append(min(nxt))
+    return seq if len(seq) == len(adj) else None
+
+
 def _no_other_segment(match: tuple, ends: int) -> bool:
     """Whether exactly `ends` bag vertices end an open segment: a structure
     closing at that many open ends leaves no other segment behind."""
@@ -197,7 +241,7 @@ def _introduce(table: _Table, bag: tuple, v: int, optional) -> _Table:
     while pos < len(bag) and bag[pos] < v:
         pos += 1
     out = _Table()
-    for (statuses, match, done), (size, edges) in table.items():
+    for (statuses, match, done), (size, edges) in table.data.items():
         # partner indices at or after pos shift; the markers are negative
         new_match = tuple(p + 1 if p >= pos else p for p in match)
         st_inc = statuses[:pos] + (0,) + statuses[pos:]
@@ -212,7 +256,7 @@ def _introduce(table: _Table, bag: tuple, v: int, optional) -> _Table:
 def _forget(table: _Table, bag: tuple, v: int, mode: str) -> _Table:
     pos = bag.index(v)
     out = _Table()
-    for (statuses, match, done), (size, edges) in table.items():
+    for (statuses, match, done), (size, edges) in table.data.items():
         st = statuses[pos]
         if st == 0:
             continue  # isolated included vertex: never part of a witness
@@ -237,7 +281,7 @@ def _forget(table: _Table, bag: tuple, v: int, mode: str) -> _Table:
 def _edge(table: _Table, bag: tuple, u: int, v: int, mode: str) -> _Table:
     iu, iv = bag.index(u), bag.index(v)
     out = _Table()
-    for state, (size, edges) in table.items():
+    for state, (size, edges) in table.data.items():
         out.add(state, size, edges)  # skip the edge
         statuses, match, done = state
         su, sv = statuses[iu], statuses[iv]
@@ -271,10 +315,10 @@ def _join(t1: _Table, t2: _Table, mode: str) -> _Table:
     # merges require identical inclusion on the shared bag, so bucket one
     # side by exclusion pattern instead of a full cross product
     buckets: dict = {}
-    for (st2, mt2, d2), val2 in t2.items():
+    for (st2, mt2, d2), val2 in t2.data.items():
         excl = tuple(s == EXCLUDED for s in st2)
         buckets.setdefault(excl, []).append((st2, mt2, d2, mt2.count(FINAL), val2))
-    for (st1, mt1, d1), (w1, e1) in t1.items():
+    for (st1, mt1, d1), (w1, e1) in t1.data.items():
         excl = tuple(s == EXCLUDED for s in st1)
         group = buckets.get(excl)
         if not group:

@@ -1,15 +1,17 @@
 """Hamiltonian cycle and path: the input graph first, then partition
 compression past the search budget.
 
-Route (_solve): the trivial cases (empty, too small); a complete G,
-answered in id order; a degree rejection (_degree_rejects); then the
-exhaustive search _dfs_ham on G itself under a budget of SEARCH_NODES
-popped nodes, which skips the starts in components too small for its
-target.  The search also decides a disconnected G, a "no": a cycle at its
-first pop, a path after one pop per component.  Only when that budget runs
-out is connectivity checked, a disconnected G again a "no", and does the
-paper's pipeline run: keep the endpoints of every cross edge (the blue
-edges, select_blue_edges), then contract G along the partition (compress):
+Route (_solve): a complete G on at least 3 vertices, answered in id order;
+a degree rejection (_degree_rejects); then the exhaustive search _dfs_ham
+on G itself under a budget of SEARCH_NODES popped nodes, which skips the
+starts in components too small for its target.  The rejection and the
+search also answer the smallest graphs: no cycle on fewer than 3
+vertices, the path (0,) on one vertex and (0, 1) on K2.  The search
+decides a disconnected G, a "no": a cycle at its first pop, a path after
+one pop per component.  Only when that budget runs out is connectivity
+checked, a disconnected G again a "no", and does the paper's pipeline
+run: keep the endpoints of every cross edge (the blue edges,
+select_blue_edges), then contract G along the partition (compress):
 every part that is not raw keeps those vertices plus one contracted vertex
 standing for the rest and becomes a clique (the red edges of red_closure,
 added inline); raw parts stay whole with their own edges.  H is decided
@@ -33,9 +35,9 @@ witness into same-part runs, replaces the runs inside linked parts by exact
 spanning linkages and validates the result, raising FallbackRequired for a
 part it cannot lift.  _solve then retries with that part kept verbatim
 (raw), so soundness never depends on the desk-scale connectivity
-constants.  Every certificate a DP or search step returns
-passes certificates.checked, which raises CertificateError instead of
-asserting.
+constants.  Every witness passes certificates.checked, which raises
+CertificateError instead of asserting: the search's in _dfs_ham, the DP's
+inside dp.solve_dp, which returns a checked Certificate or None.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .partition import (
     kappa_partition,
     refine_to_linked,
 )
-from .treewidth import TreeDecomposition, heuristic_decomposition
+from .treewidth import heuristic_decomposition
 
 __all__ = [
     "Contraction",
@@ -65,8 +67,6 @@ __all__ = [
     "red_closure",
     "select_blue_edges",
     "compress",
-    "hamiltonian_cycle_dp",
-    "hamiltonian_path_dp",
     "reconstruct",
     "solve_hamiltonian_cycle",
     "solve_hamiltonian_path",
@@ -163,41 +163,6 @@ def compress(
     )
 
 
-def _edges_to_sequence(edges: list[tuple[int, int]], kind: str) -> Optional[list[int]]:
-    """Turn a chosen edge set into a cycle or path vertex sequence."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if not adj:
-        return None
-    if kind == "cycle":
-        start = min(adj)
-    else:
-        ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
-        if len(ends) != 2:
-            return None
-        start = ends[0]
-    seq = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        if not nxt:
-            break
-        # at the start of a cycle both neighbors are open; pick the smaller
-        step = min(nxt)
-        if kind == "cycle" and step == start:
-            break
-        seq.append(step)
-        prev, cur = cur, step
-        if len(seq) == len(adj):
-            break
-    if len(seq) != len(adj):
-        return None
-    return seq
-
-
 def _dfs_ham(
     h: Graph,
     kind: str = "path",
@@ -290,27 +255,6 @@ def _dfs_ham(
                 seq.append(u)
                 free ^= 1 << u
     return None
-
-
-def hamiltonian_cycle_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificate]:
-    """Exact Hamiltonian cycle on h via partition-matching DP over td."""
-    if h.n < 3:
-        return None
-    edges = solve_dp(h, td, "cycle")
-    if edges is None:
-        return None
-    seq = _edges_to_sequence(edges, "cycle")
-    return checked(h, "cycle", seq, hamiltonian=True)
-
-
-def hamiltonian_path_dp(h: Graph, td: TreeDecomposition) -> Optional[Certificate]:
-    if h.n == 1:
-        return Certificate("path", (0,))
-    edges = solve_dp(h, td, "path")
-    if edges is None:
-        return None
-    seq = _edges_to_sequence(edges, "path")
-    return checked(h, "path", seq, hamiltonian=True)
 
 
 class FallbackRequired(Exception):
@@ -416,13 +360,7 @@ def _degree_rejects(h: Graph, kind: str) -> bool:
 
 
 def _solve(g: Graph, cfg: Optional[SolverConfig], kind: str) -> Optional[Certificate]:
-    if g.n == 0:
-        return None
-    if kind == "cycle" and g.n < 3:
-        return None
-    if kind == "path" and g.n == 1:
-        return Certificate("path", (0,))
-    if g.m == g.n * (g.n - 1) // 2:
+    if g.n > 2 and g.m == g.n * (g.n - 1) // 2:
         # a complete graph is trivially traversable in id order
         return checked(g, kind, range(g.n), hamiltonian=True)
     if _degree_rejects(g, kind):
@@ -438,7 +376,6 @@ def _solve(g: Graph, cfg: Optional[SolverConfig], kind: str) -> Optional[Certifi
     if not g.is_connected():
         return None
     cfg = cfg or SolverConfig()
-    dp = hamiltonian_cycle_dp if kind == "cycle" else hamiltonian_path_dp
 
     def past_budget(h: Graph) -> Optional[Certificate]:
         td = heuristic_decomposition(h)
@@ -446,7 +383,7 @@ def _solve(g: Graph, cfg: Optional[SolverConfig], kind: str) -> Optional[Certifi
             # bag DP pays off only below this width; small dense graphs go
             # to the search without a budget instead
             return _dfs_ham(h, kind)
-        return dp(h, td)
+        return solve_dp(h, td, kind)
 
     def run_exact(h: Graph) -> Optional[Certificate]:
         if _degree_rejects(h, kind):
@@ -457,13 +394,9 @@ def _solve(g: Graph, cfg: Optional[SolverConfig], kind: str) -> Optional[Certifi
             pass
         return past_budget(h)
 
-    # where H would be G, the search has already spent its budget on it, so
-    # G goes straight to past_budget
-    if g.n <= 3:
-        return past_budget(g)
-    p0 = kappa_partition(g)
-    p, q = refine_to_linked(g, p0, cfg)
+    p, _q = refine_to_linked(g, kappa_partition(g), cfg)
     if len(p.parts) == 1:
+        # H would be G, on which the search has already spent its budget
         return past_budget(g)
 
     keep = select_blue_edges(g, p)

@@ -2,12 +2,13 @@
 
 The pipeline is: greedy partition around a maximal independent set
 (kappa_partition), then refinement of each part (refine_to_linked) by a
-separator tree whose leaves have no small separator, plus an exhaustive
-clique partition of the separator interiors, or else their connected pieces.
+separator tree (separator_tree, which returns the tree's leaves, sets with
+no small separator, and its interior, the union of its separators), plus an
+exhaustive clique partition of the interior, or else its connected pieces.
 Every piece is tagged once: clique if it is one, otherwise linked (a leaf,
 certified (g_threshold+1)-connected by the separator scan of graphs.py) or
-raw (an interior piece).  The quotient graph on the parts is built by
-build_quotient, on demand.
+raw (an interior piece).  build_quotient returns the quotient on the parts
+as a plain Graph, part i as vertex i.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .graphs import (
 __all__ = [
     "PartKind",
     "Partition",
-    "QuotientGraph",
-    "SeparatorTree",
     "SolverConfig",
     "kappa_partition",
     "separator_tree",
@@ -82,14 +81,6 @@ class Partition:
         return owner
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Graph on the parts; edge {i,j} iff some original edge crosses them."""
-
-    graph: Graph
-    part_sizes: tuple[int, ...]
-
-
 def cross_edges(
     g: Graph, owner: dict[int, int]
 ) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -106,12 +97,10 @@ def cross_edges(
     return cross
 
 
-def build_quotient(g: Graph, parts: tuple[frozenset[int], ...]) -> QuotientGraph:
+def build_quotient(g: Graph, parts: tuple[frozenset[int], ...]) -> Graph:
+    """The graph on the parts: edge {i, j} iff some edge of g crosses them."""
     owner = {v: i for i, part in enumerate(parts) for v in part}
-    return QuotientGraph(
-        Graph(len(parts), sorted(cross_edges(g, owner))),
-        tuple(len(p) for p in parts),
-    )
+    return Graph(len(parts), sorted(cross_edges(g, owner)))
 
 
 # the most cliques a separator interior is split into before its pieces are
@@ -159,49 +148,28 @@ def kappa_partition(g: Graph) -> Partition:
     return Partition(parts, tuple(RAW for _ in parts), tuple(0 for _ in parts))
 
 
-@dataclass(frozen=True)
-class SeparatorTree:
-    """Recursive decomposition of an induced subgraph by small separators.
+def separator_tree(
+    g: Graph, x: frozenset[int] | set[int], g_threshold: int
+) -> tuple[list[frozenset[int]], frozenset[int]]:
+    """The leaves and the interior of the separator tree of g[x].
 
-    Internal nodes hold separators of size <= g_threshold; leaves hold sets
-    whose induced subgraphs have no separator that small (hence are
-    (g_threshold+1)-connected or complete).
+    x is split by a separator of at most g_threshold vertices, and each
+    component of the rest in turn.  The leaves, in the order the recursion
+    meets them, are the sets with no separator that small (hence
+    (g_threshold+1)-connected or complete); the interior is the union of
+    the separators.
     """
-
-    label: frozenset[int]
-    is_leaf: bool
-    children: tuple["SeparatorTree", ...] = ()
-
-    def leaves(self) -> list[frozenset[int]]:
-        if self.is_leaf:
-            return [self.label]
-        out: list[frozenset[int]] = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
-
-    def interior_union(self) -> frozenset[int]:
-        if self.is_leaf:
-            return frozenset()
-        acc = set(self.label)
-        for c in self.children:
-            acc |= c.interior_union()
-        return frozenset(acc)
-
-    def leaf_count(self) -> int:
-        return len(self.leaves())
-
-
-def separator_tree(g: Graph, x: frozenset[int] | set[int], g_threshold: int) -> SeparatorTree:
     xs = frozenset(x)
     sep = find_separator_leq(g, xs, g_threshold)
     if sep is None:
-        return SeparatorTree(xs, is_leaf=True)
-    children = tuple(
-        separator_tree(g, frozenset(comp), g_threshold)
-        for comp in g.components(xs - sep)
-    )
-    return SeparatorTree(sep, is_leaf=False, children=children)
+        return [xs], frozenset()
+    leaves: list[frozenset[int]] = []
+    interior = set(sep)
+    for comp in g.components(xs - sep):
+        sub_leaves, sub_interior = separator_tree(g, frozenset(comp), g_threshold)
+        leaves += sub_leaves
+        interior |= sub_interior
+    return leaves, frozenset(interior)
 
 
 def clique_partition_exact(
@@ -243,9 +211,9 @@ def clique_partition_exact(
 
 def refine_to_linked(
     g: Graph, p0: Partition, cfg: SolverConfig
-) -> tuple[Partition, QuotientGraph]:
+) -> tuple[Partition, Graph]:
     """Split every part into separator-tree leaves plus a clique cover of the
-    separator interiors.  Every piece that is a clique is tagged clique; the
+    separator interiors; return the partition and its quotient.  Every piece that is a clique is tagged clique; the
     others are linked (leaves) or raw (interior pieces)."""
     parts: list[frozenset[int]] = []
     kinds: list[PartKind] = []
@@ -258,10 +226,9 @@ def refine_to_linked(
         if g.is_clique(part):  # a clique has no separator to look for
             add(part, CLIQUE)
             continue
-        tree = separator_tree(g, part, cfg.g_threshold)
-        for leaf in tree.leaves():
+        leaves, interior = separator_tree(g, part, cfg.g_threshold)
+        for leaf in leaves:
             add(leaf, LINKED)
-        interior = tree.interior_union()
         cover = clique_partition_exact(g, interior, KAPPA) if len(interior) <= 24 else None
         if cover is None:
             # the connected pieces of the interior, which make no promise:

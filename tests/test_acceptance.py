@@ -152,11 +152,11 @@ def test_partition_structure(capsys):
             12 + seed % 14, kappa, seed, extra_edge_prob=0.15)
         if not g.is_connected():
             continue
-        st = separator_tree(g, frozenset(range(g.n)), cfg.g_threshold)
+        leaves, interior = separator_tree(g, frozenset(range(g.n)), cfg.g_threshold)
         k_eff = len(planted)
-        if st.leaf_count() > k_eff:
+        if len(leaves) > k_eff:
             bad_bounds += 1
-        if len(st.interior_union()) > (k_eff - 1) * cfg.g_threshold:
+        if len(interior) > (k_eff - 1) * cfg.g_threshold:
             bad_bounds += 1
     ok = bad_structure == 0 and bad_bounds == 0
     report(capsys, f"[3/8] partition structure: {'PASS' if ok else 'FAIL'} "

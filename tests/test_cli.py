@@ -126,13 +126,13 @@ def test_generate_rejects_bad_shape_mix(capsys):
 
 
 def test_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
-    from fatpath import hamilton
+    from fatpath import dp, hamilton
     c5 = tmp_path / "c5.txt"
     c5.write_text(write_graph(Graph(5, [(i, (i + 1) % 5) for i in range(5)])))
     # a Hamiltonian cycle of K5 that uses non-edges of C5
     corrupt = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
     with monkeypatch.context() as m:
-        m.setattr(hamilton, "solve_dp", lambda *args, **kwargs: corrupt)
+        m.setattr(dp, "_witness", lambda *args, **kwargs: corrupt)
         # the search would decide C5 first; with no budget the DP's witness
         # is used
         m.setattr(hamilton, "SEARCH_NODES", 0)

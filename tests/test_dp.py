@@ -15,8 +15,7 @@ import pytest
 from helpers import random_graph
 from test_search import max_path_vertices
 
-from fatpath import dp, hamilton
-from fatpath.certificates import Certificate
+from fatpath import dp
 from fatpath.dp import solve_dp
 from fatpath.graphs import Graph
 from fatpath.oracle import held_karp_cycle, held_karp_path
@@ -51,21 +50,15 @@ def decompositions(g):
     return tds
 
 
-def sequence(g, edges, kind):
-    seq = hamilton._edges_to_sequence(edges, kind)
-    assert seq is not None
-    return Certificate(kind, tuple(seq))
-
-
 def test_hamiltonian_modes_match_held_karp():
     for seed, g in gnp_cases(70, 5000):
         for kind, oracle in (("cycle", held_karp_cycle), ("path", held_karp_path)):
             expected = oracle(g) is not None
             for i, td in enumerate(decompositions(g)):
-                edges = solve_dp(g, td, kind)
-                assert (edges is not None) == expected, (seed, kind, i)
-                if edges is not None:
-                    cert = sequence(g, edges, kind)
+                cert = solve_dp(g, td, kind)
+                assert (cert is not None) == expected, (seed, kind, i)
+                if cert is not None:
+                    assert cert.kind == kind, (seed, kind, i)
                     assert cert.validate(g, hamiltonian=True), (seed, kind, i)
 
 
@@ -105,10 +98,9 @@ def test_witness_closing_at_a_join_matches_held_karp(monkeypatch):
         assert validate(g, td)
         for kind, oracle in (("cycle", held_karp_cycle), ("path", held_karp_path)):
             closed_at_join.clear()
-            edges = solve_dp(g, td, kind)
-            assert (edges is not None) == (oracle(g) is not None), (case, kind)
-            if edges is not None:
-                cert = sequence(g, edges, kind)
+            cert = solve_dp(g, td, kind)
+            assert (cert is not None) == (oracle(g) is not None), (case, kind)
+            if cert is not None:
                 assert cert.validate(g, hamiltonian=True), (case, kind)
             if kind == closes_in:
                 assert closed_at_join, (case, kind)
@@ -122,11 +114,10 @@ def test_longpath_mode_matches_enumeration():
         best = max_path_vertices(g) if g.m else 0
         target = rng.randint(max(1, best - 2), best + 1)
         for i, td in enumerate(decompositions(g)):
-            edges = solve_dp(g, td, "longpath", target=target)
-            assert (edges is not None) == (g.m > 0 and best >= target), (seed, i)
-            if edges is not None:
-                cert = sequence(g, edges, "path")
-                assert cert.validate(g), (seed, i)
+            cert = solve_dp(g, td, "longpath", target=target)
+            assert (cert is not None) == (g.m > 0 and best >= target), (seed, i)
+            if cert is not None:
+                assert cert.kind == "path" and cert.validate(g), (seed, i)
                 assert len(cert) == best, (seed, i)
 
 

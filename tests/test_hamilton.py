@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from fatpath import hamilton
 from fatpath.certificates import Certificate
+from fatpath.dp import solve_dp
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
 from fatpath.hamilton import (
     compress,
-    hamiltonian_cycle_dp,
-    hamiltonian_path_dp,
     red_closure,
     reconstruct,
     select_blue_edges,
@@ -102,24 +101,24 @@ def test_compress_interior_dropped():
 
 def test_cycle_dp_c5():
     g = cycle(5)
-    cert = hamiltonian_cycle_dp(g, heuristic_decomposition(g))
+    cert = solve_dp(g, heuristic_decomposition(g), "cycle")
     assert cert is not None and cert.validate(g, hamiltonian=True)
 
 
 def test_cycle_dp_star_absent():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert hamiltonian_cycle_dp(g, heuristic_decomposition(g)) is None
+    assert solve_dp(g, heuristic_decomposition(g), "cycle") is None
 
 
 def test_path_dp_p4():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    cert = hamiltonian_path_dp(g, heuristic_decomposition(g))
+    cert = solve_dp(g, heuristic_decomposition(g), "path")
     assert cert is not None and cert.validate(g, hamiltonian=True)
 
 
 def test_path_dp_star_absent():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert hamiltonian_path_dp(g, heuristic_decomposition(g)) is None
+    assert solve_dp(g, heuristic_decomposition(g), "path") is None
 
 
 def test_degree_rejections_skip_the_search(monkeypatch):
@@ -146,15 +145,15 @@ def test_dp_matches_held_karp(seed):
     n = rng.randint(3, 10)
     g = random_graph(n, rng.uniform(0.2, 0.9), seed)
     td = heuristic_decomposition(g)
-    assert (hamiltonian_cycle_dp(g, td) is None) == (held_karp_cycle(g) is None)
-    assert (hamiltonian_path_dp(g, td) is None) == (held_karp_path(g) is None)
+    assert (solve_dp(g, td, "cycle") is None) == (held_karp_cycle(g) is None)
+    assert (solve_dp(g, td, "path") is None) == (held_karp_path(g) is None)
 
 
 def test_reconstruct_identity_when_uncompressed():
     g = cycle(6)
     p = refined(g, SolverConfig(g_threshold=2))
     comp = compress(g, p, select_blue_edges(g, p))
-    cert_h = hamiltonian_cycle_dp(comp.h, heuristic_decomposition(comp.h))
+    cert_h = solve_dp(comp.h, heuristic_decomposition(comp.h), "cycle")
     cert = reconstruct(g, p, comp, cert_h)
     assert cert.validate(g, hamiltonian=True)
 

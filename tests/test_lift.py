@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import fatpath
-from fatpath import hamilton, longpath
+from fatpath import dp, hamilton, longpath
 from fatpath.certificates import CertificateError, checked
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
@@ -159,7 +159,7 @@ def test_longpath_lift_failures_fall_through_to_g(monkeypatch):
 def test_corrupt_dp_witness_raises_certificate_error(monkeypatch):
     # a Hamiltonian cycle of K5 that uses non-edges of C5
     corrupt = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
-    monkeypatch.setattr(hamilton, "solve_dp", lambda *args, **kwargs: corrupt)
+    monkeypatch.setattr(dp, "_witness", lambda *args, **kwargs: corrupt)
     # the search would decide C5 first; with no budget the DP's witness is used
     monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
     c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -174,7 +174,7 @@ def test_corrupt_longpath_witness_raises_certificate_error(monkeypatch):
     # a 5-vertex path of K5 that uses non-edges of P6, and a path of P6 on
     # fewer than the 5 vertices asked for
     for corrupt in ([(0, 2), (2, 4), (4, 1), (1, 3)], [(0, 1), (1, 2)]):
-        monkeypatch.setattr(longpath, "solve_dp", lambda *args, **kwargs: corrupt)
+        monkeypatch.setattr(dp, "_witness", lambda *args, **kwargs: corrupt)
         with pytest.raises(CertificateError):
             longpath.weighted_longpath_dp(p6, heuristic_decomposition(p6), 5)
 
@@ -188,10 +188,10 @@ def test_checked_counts_vertices_without_weights():
 
 def test_certificate_check_survives_python_O():
     code = (
-        "from fatpath import hamilton\n"
+        "from fatpath import dp, hamilton\n"
         "from fatpath.certificates import CertificateError\n"
         "from fatpath.graphs import Graph\n"
-        "hamilton.solve_dp = lambda *a, **k: [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]\n"
+        "dp._witness = lambda *a, **k: [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]\n"
         "hamilton.SEARCH_NODES = 0\n"
         "c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])\n"
         "try:\n"
@@ -203,7 +203,7 @@ def test_certificate_check_survives_python_O():
         "# a valid path of P6 on fewer than the 5 vertices asked for\n"
         "from fatpath import longpath\n"
         "from fatpath.treewidth import heuristic_decomposition\n"
-        "longpath.solve_dp = lambda *a, **k: [(0, 1), (1, 2)]\n"
+        "dp._witness = lambda *a, **k: [(0, 1), (1, 2)]\n"
         "p6 = Graph(6, [(i, i + 1) for i in range(5)])\n"
         "try:\n"
         "    longpath.weighted_longpath_dp(p6, heuristic_decomposition(p6), 5)\n"

@@ -34,7 +34,7 @@ def test_kappa_k5_single_part():
     p = kappa_partition(k(5))
     q = build_quotient(k(5), p.parts)
     assert len(p.parts) == 1 and p.parts[0] == frozenset(range(5))
-    assert q.graph.n == 1 and q.graph.m == 0
+    assert q.n == 1 and q.m == 0
 
 
 def test_kappa_edgeless_singletons():
@@ -47,7 +47,7 @@ def test_kappa_c6_frozen():
     p = kappa_partition(cycle(6))
     q = build_quotient(cycle(6), p.parts)
     assert sorted(sorted(x) for x in p.parts) == [[0, 1, 5], [2, 3], [4]]
-    assert sorted(q.graph.edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(q.edges()) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_kappa_parts_connected():
@@ -76,8 +76,8 @@ def test_kappa_non_center_adjacent_to_center():
 
 
 def test_separator_tree_k6_single_leaf():
-    t = separator_tree(k(6), frozenset(range(6)), 3)
-    assert t.is_leaf and t.label == frozenset(range(6))
+    leaves, interior = separator_tree(k(6), frozenset(range(6)), 3)
+    assert leaves == [frozenset(range(6))] and interior == frozenset()
 
 
 def test_separator_tree_cut_vertex():
@@ -85,24 +85,24 @@ def test_separator_tree_cut_vertex():
     edges = list(itertools.combinations(range(4), 2))
     edges += [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     g = Graph(7, edges)
-    t = separator_tree(g, frozenset(range(7)), 1)
-    assert not t.is_leaf and t.label == frozenset({0})
-    assert len(t.leaves()) == 2
+    leaves, interior = separator_tree(g, frozenset(range(7)), 1)
+    assert interior == frozenset({0})
+    assert sorted(map(sorted, leaves)) == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_separator_tree_planted_two_cliques():
     for seed in range(100):
         g = planted_two_clique_graph(7, 7, cross=6, seed=seed)
-        t = separator_tree(g, frozenset(range(g.n)), 4)
-        assert len(t.leaves()) <= 2
-        assert len(t.interior_union()) <= 4
+        leaves, interior = separator_tree(g, frozenset(range(g.n)), 4)
+        assert len(leaves) <= 2
+        assert len(interior) <= 4
 
 
 def test_separator_tree_leaf_connectivity():
     g = random_graph(15, 0.5, 3)
     comp = max(g.components(), key=len)
-    t = separator_tree(g, frozenset(comp), 3)
-    for leaf in t.leaves():
+    leaves, _ = separator_tree(g, frozenset(comp), 3)
+    for leaf in leaves:
         sub, _ = g.induced(leaf)
         full = sub.m == sub.n * (sub.n - 1) // 2
         assert full or vertex_connectivity(sub) >= 4
@@ -120,7 +120,7 @@ def test_refine_c6_all_cliques():
     p0 = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, SolverConfig(g_threshold=2))
     assert all(kind == CLIQUE for kind in p.kinds)
-    p.check(g)
+    assert p.check(g)
 
 
 def test_refine_two_k6_single_edge():
@@ -130,7 +130,7 @@ def test_refine_two_k6_single_edge():
     g = Graph(12, edges)
     p0 = kappa_partition(g)
     p, _ = refine_to_linked(g, p0, SolverConfig(g_threshold=1))
-    p.check(g)
+    assert p.check(g)
 
 
 def test_refine_output_invariants_random():
@@ -141,7 +141,7 @@ def test_refine_output_invariants_random():
             continue
         p0 = kappa_partition(g)
         p, q = refine_to_linked(g, p0, cfg)
-        p.check(g)  # raises on any violated kind/cover/connectivity invariant
+        assert p.check(g)  # false on any violated kind/cover/connectivity invariant
         assert sum(len(x) for x in p.parts) == g.n
         # quotient edge iff cross-part edge
         owner = p.part_of()
@@ -151,7 +151,7 @@ def test_refine_output_invariants_random():
                     owner[u] == i and owner[v] == j or owner[u] == j and owner[v] == i
                     for u, v in g.edges()
                 )
-                assert q.graph.has_edge(i, j) == expected
+                assert q.has_edge(i, j) == expected
 
 
 def test_clique_partition_triangle():

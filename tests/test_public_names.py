@@ -1,7 +1,10 @@
 """Every name a fatpath module exports must exist, so a deletion that leaves
-its ``__all__`` entry behind fails here rather than at a caller's import."""
+its ``__all__`` entry behind fails here rather than at a caller's import.
+And no module checks anything with ``assert``, which ``python -O`` strips."""
 
+import ast
 import importlib
+import os
 import pkgutil
 
 import fatpath
@@ -17,3 +20,16 @@ def test_public_names_resolve():
     for module in exporting:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_assert_in_the_package():
+    package = fatpath.__path__[0]
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "dp.py" in names and "__init__.py" in names
+    found = []
+    for name in names:
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
