@@ -1,7 +1,10 @@
 """Immutable simple undirected graphs and the primitive operations on them.
 
-Every solver in this package consumes plain graphs: vertex ids 0..n-1,
-adjacency stored as frozensets.  No weights, no directions, no mutation.
+Every solver in this package consumes plain graphs: vertex ids 0..n-1
+(Python ints), no weights, no directions, no mutation.  A graph stores one
+neighbour bitmask per vertex, for the bitmask searches and subset DPs, and
+per vertex its neighbours in the order the edge list first names them.
+Neighbour frozensets are built from those lists on first use.
 """
 
 from __future__ import annotations
@@ -15,62 +18,90 @@ __all__ = [
     "greedy_mis",
     "vertex_connectivity",
     "find_separator_leq",
-    "independence_number_exact",
     "read_graph",
     "write_graph",
 ]
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with frozen adjacency sets.
+    """Simple undirected graph on vertices 0..n-1.
+
+    The constructor stores two things per vertex and builds no sets: its
+    neighbours as a bitmask (_masks), which is also the duplicate test, and
+    as a list in the order the edge list first names them (_order).  m, the
+    degrees, has_edge, equality, hashing and adjacency_masks read these; the
+    bitmask search reads _masks as it is.  neighbors() and everything that
+    walks neighbours (edges, induced, components, is_connected) read
+    frozensets, built once from the lists on first use (_sets): a set filled
+    in list order, then frozen, so they iterate, and edges() yields, in the
+    order of a graph that built its frozensets in the constructor.
+
+    Memory: the masks take up to n * (largest id) / 8 bytes, which is what
+    a search or subset DP on the graph allocates anyway; the lists take one
+    reference per edge end, and the frozensets, once built, what they take.
 
     _td holds the graph's min-fill decomposition once
-    treewidth.heuristic_decomposition has computed it; __init__ leaves it
-    unset, so a graph that is never decomposed costs nothing more."""
+    treewidth.heuristic_decomposition has computed it.  __init__ leaves _td
+    and _sets unset, so a graph never decomposed or walked costs nothing
+    more."""
 
-    __slots__ = ("n", "_adj", "_m", "_td")
+    __slots__ = ("n", "_masks", "_order", "_sets", "_m", "_td")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
+        order: list[list[int]] = [[] for _ in range(n)]
         m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
+            if not masks[u] >> v & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                order[u].append(v)
+                order[v].append(u)
                 m += 1
+        if not set(map(type, masks)) <= {int}:
+            # a numpy id shifts in fixed width, which drops bits
+            raise TypeError("vertex ids must be Python ints")
         self.n = n
-        self._adj = tuple(frozenset(a) for a in adj)
+        self._masks = tuple(masks)
+        self._order = order
         self._m = m
+
+    def _neighbour_sets(self) -> tuple[frozenset[int], ...]:
+        try:
+            return self._sets
+        except AttributeError:
+            self._sets = tuple(frozenset(set(a)) for a in self._order)
+            return self._sets
 
     @property
     def m(self) -> int:
         return self._m
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return self._neighbour_sets()[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._order[v])
 
     def degrees(self) -> list[int]:
         """Every vertex's degree, in id order."""
-        return list(map(len, self._adj))
+        return list(map(len, self._order))
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(map(len, self._order), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._masks[u] >> v & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self._adj[u]:
+        for u, nbrs in enumerate(self._neighbour_sets()):
+            for v in nbrs:
                 if u < v:
                     yield (u, v)
 
@@ -78,10 +109,11 @@ class Graph:
         """Induced subgraph plus the list mapping new ids to original ids."""
         vs = sorted(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
+        adj = self._neighbour_sets()
         edges = [
             (index[u], index[v])
             for u in vs
-            for v in self._adj[u]
+            for v in adj[u]
             if u < v and v in index
         ]
         return Graph(len(vs), edges), vs
@@ -89,11 +121,12 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
+        adj = self._neighbour_sets()
         seen = {0}
         queue = deque([0])
         while queue:
             u = queue.popleft()
-            for w in self._adj[u]:
+            for w in adj[u]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -103,6 +136,7 @@ class Graph:
         """The connected components as sorted lists, by lowest vertex; given
         within, those of self.induced(within), in this graph's ids."""
         keep = range(self.n) if within is None else set(within)
+        adj = self._neighbour_sets()
         seen: set[int] = set()
         comps = []
         for s in sorted(keep):
@@ -113,7 +147,7 @@ class Graph:
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for w in self._adj[u]:
+                for w in adj[u]:
                     if w not in seen and w in keep:
                         seen.add(w)
                         comp.append(w)
@@ -122,14 +156,9 @@ class Graph:
         return comps
 
     def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighborhoods as bitmasks, for subset DPs."""
-        masks = [0] * self.n
-        for u in range(self.n):
-            m = 0
-            for v in self._adj[u]:
-                m |= 1 << v
-            masks[u] = m
-        return masks
+        """Per-vertex neighborhoods as bitmasks, for subset DPs: a fresh
+        list, which the caller may change."""
+        return list(self._masks)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)
@@ -137,11 +166,11 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+            isinstance(other, Graph) and self.n == other.n and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
@@ -284,28 +313,6 @@ def find_separator_leq(
     return frozenset(nodes[i] for i in best) if best else None
 
 
-def independence_number_exact(g: Graph) -> int:
-    """Exact independence number by branch and bound.  Guarded at n <= 30."""
-    if g.n > 30:
-        raise ValueError("independence_number_exact is limited to n <= 30")
-    masks = g.adjacency_masks()
-    best = 0
-
-    def bb(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + bin(candidates).count("1") <= best:
-            return
-        if candidates == 0:
-            best = max(best, size)
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        bb(candidates & ~(1 << v) & ~masks[v], size + 1)  # take v
-        bb(candidates & ~(1 << v), size)  # skip v
-
-    bb((1 << g.n) - 1, 0)
-    return best
-
-
 def write_graph(g: Graph) -> str:
     """Line-oriented text: `p <n> <m>` then one `e <u> <v>` per edge, 0-indexed."""
     lines = [f"p {g.n} {g.m}"]
@@ -314,7 +321,9 @@ def write_graph(g: Graph) -> str:
 
 
 def read_graph(text: str) -> Graph:
-    n = None
+    """The graph write_graph wrote: the problem line's edge count must be a
+    nonnegative int equal to the number of edge records."""
+    n = m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -324,7 +333,9 @@ def read_graph(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None or len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed problem line")
-            n = int(parts[1])
+            n, m = int(parts[1]), int(parts[2])
+            if m < 0:
+                raise ValueError(f"line {lineno}: negative edge count")
         elif parts[0] == "e":
             if n is None or len(parts) != 3:
                 raise ValueError(f"line {lineno}: edge before problem line or malformed")
@@ -333,4 +344,6 @@ def read_graph(text: str) -> Graph:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise ValueError("missing problem line")
+    if len(edges) != m:
+        raise ValueError(f"problem line gives {m} edges, the file has {len(edges)}")
     return Graph(n, edges)

@@ -183,14 +183,15 @@ def _dfs_ham(
     The search walks one path: seq, the mask of the vertices still free,
     and per vertex of seq the mask of its candidates not yet tried.  It
     extends seq by the highest untried candidate, so a child is built only
-    when it is popped, and undoes it on the way back."""
+    when it is popped, and undoes it on the way back.  It reads the
+    neighbour bitmasks h stores and builds no adjacency of its own."""
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
     target = n if k is None else k
     limit = math.inf if budget is None else budget
     popped = 0
-    masks = h.adjacency_masks()
+    masks = h._masks  # the graph's own, only read
     full = (1 << n) - 1
     starts = [0] if kind == "cycle" else range(n)
     if kind == "path" and k is None:

@@ -9,7 +9,6 @@ when the guard trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .graphs import Graph
@@ -18,7 +17,6 @@ __all__ = [
     "LinkageRequest",
     "Linkage",
     "find_spanning_linkage",
-    "is_hamiltonian_l_linked",
 ]
 
 SIZE_GUARD = 24
@@ -131,30 +129,3 @@ def find_spanning_linkage(g: Graph, req: LinkageRequest) -> Optional[Linkage]:
     if solve(0, 0):
         return Linkage(tuple(tuple(orig[v] for v in p) for p in paths))
     return None
-
-
-def is_hamiltonian_l_linked(g: Graph, part: frozenset[int], l: int) -> bool:
-    """True iff every choice of l disjoint terminal pairs admits a spanning
-    linkage.  Enumerates all terminal configurations; guarded at |part| <= 14."""
-    vs = sorted(part)
-    if len(vs) > 14:
-        raise ValueError("is_hamiltonian_l_linked is limited to parts of size <= 14")
-    if len(vs) < 2 * l:
-        return False
-    for chosen in combinations(vs, 2 * l):
-        for pairing in _pairings(list(chosen)):
-            req = LinkageRequest(frozenset(part), tuple(pairing))
-            if find_spanning_linkage(g, req) is None:
-                return False
-    return True
-
-
-def _pairings(items: list[int]):
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        rest = items[1:i] + items[i + 1 :]
-        for tail in _pairings(rest):
-            yield [(first, items[i])] + tail

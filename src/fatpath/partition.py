@@ -35,7 +35,6 @@ __all__ = [
     "build_quotient",
     "cross_edges",
     "partition_to_json",
-    "partition_from_json",
 ]
 
 
@@ -251,18 +250,3 @@ def partition_to_json(p: Partition) -> str:
         ],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def partition_from_json(text: str) -> Partition:
-    doc = json.loads(text)
-    parts = tuple(frozenset(part) for part in doc["parts"])
-    kinds = []
-    conn = []
-    for k in doc["kinds"]:
-        if k.startswith("linked:"):
-            kinds.append(LINKED)
-            conn.append(int(k.split(":", 1)[1]))
-        else:
-            kinds.append(k)
-            conn.append(0)
-    return Partition(parts, tuple(kinds), tuple(conn))

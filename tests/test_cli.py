@@ -8,6 +8,8 @@ from fatpath.certificates import Certificate
 from fatpath.cli import main
 from fatpath.graphs import Graph, write_graph
 
+from helpers import partition_from_json
+
 
 def run(argv):
     buf = io.StringIO()
@@ -58,6 +60,13 @@ def test_ham_malformed_input(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("p x y\n")
     assert run(["ham", str(p)])[0] == 2
+
+
+def test_ham_wrong_edge_count_exits_2(tmp_path):
+    for count in ("x", "-2", "7"):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"p 3 {count}\ne 0 1\n")
+        assert run(["ham", str(p)]) == (2, ""), count
 
 
 def test_malformed_instance_json_exits_2(tmp_path):
@@ -222,7 +231,6 @@ def test_partition_output(tmp_path):
     path, _ = write_k5(tmp_path)
     out = tmp_path / "p.json"
     assert run(["partition", path, "-o", str(out)])[0] == 0
-    from fatpath.partition import partition_from_json
     p = partition_from_json(out.read_text())
     assert sum(len(x) for x in p.parts) == 5
     # the empty graph has the empty partition, as ham, longpath and cover

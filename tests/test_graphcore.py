@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -10,14 +11,18 @@ from fatpath.graphs import (
     bfs_ball,
     find_separator_leq,
     greedy_mis,
-    independence_number_exact,
     read_graph,
     vertex_connectivity,
     write_graph,
 )
 from fatpath.oracle import separator_enum
 
-from helpers import random_graph
+from helpers import (
+    independence_number_exact,
+    random_graph,
+    reference_edges,
+    reference_neighbour_sets,
+)
 
 PETERSEN = Graph(10, [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -227,3 +232,65 @@ def test_read_graph_malformed():
         read_graph("p 3\ne 0 1\n")
     with pytest.raises(ValueError):
         read_graph("p 3 1\ne 0 5\n")
+
+
+@pytest.mark.parametrize("text", [
+    "p 3 x\ne 0 1\n",   # a count that is no int
+    "p 3 -2\ne 0 1\n",  # a negative count
+    "p 3 7\ne 0 1\n",   # more edges promised than listed
+    "p 3 0\ne 0 1\n",   # fewer
+])
+def test_read_graph_checks_the_edge_count(text):
+    with pytest.raises(ValueError):
+        read_graph(text)
+
+
+def test_read_graph_counts_repeated_edge_records():
+    g = read_graph("p 3 2\ne 0 1\ne 1 0\n")
+    assert g.m == 1 and list(g.edges()) == [(0, 1)]
+
+
+def test_neighbour_order_is_first_occurrence_order():
+    # shuffled edge lists with repeated and reversed pairs: every neighbour
+    # set and edges() iterate as sets filled in first-occurrence order do
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(0, 70)
+        p = rng.random() * 0.6
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        edges += [rng.choice(edges) for _ in range(len(edges) // 3)] if edges else []
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        g = Graph(n, edges)
+        ref = reference_neighbour_sets(n, edges)
+        assert [list(g.neighbors(v)) for v in range(n)] == [list(a) for a in ref], trial
+        assert list(g.edges()) == reference_edges(ref), trial
+        assert g.m == len(reference_edges(ref))
+        masks = g.adjacency_masks()
+        assert masks == [sum(1 << w for w in a) for a in ref], trial
+        masks[:] = [0] * n
+        assert g.adjacency_masks() == [sum(1 << w for w in a) for a in ref]
+        assert g.degrees() == [len(a) for a in ref]
+        assert all(g.has_edge(u, v) == (v in ref[u]) for u in range(n) for v in range(n))
+        again = Graph(n, rng.sample(edges, len(edges)))
+        assert again == g and hash(again) == hash(g), trial
+
+
+def test_numpy_vertex_ids_are_refused():
+    # a fixed-width shift would drop the bits of ids past 63
+    np = pytest.importorskip("numpy")
+    with pytest.raises(TypeError):
+        Graph(100, [(np.int64(0), np.int64(70))])
+
+
+def test_large_sparse_graph_stays_linear():
+    # a path on 20 000 vertices: the masks are n^2 / 16 bytes in all, but
+    # nothing may scan bit positions one by one
+    n = 20_000
+    t0 = time.perf_counter()
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert g.m == n - 1
+    assert g.degrees() == [1] + [2] * (n - 2) + [1]
+    assert sum(1 for _ in g.edges()) == n - 1
+    assert sorted(g.neighbors(n // 2)) == [n // 2 - 1, n // 2 + 1]
+    assert time.perf_counter() - t0 < 5.0

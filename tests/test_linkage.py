@@ -2,14 +2,10 @@ import itertools
 
 import pytest
 
-from fatpath.graphs import Graph, independence_number_exact, vertex_connectivity
-from fatpath.linkage import (
-    LinkageRequest,
-    find_spanning_linkage,
-    is_hamiltonian_l_linked,
-)
+from fatpath.graphs import Graph, vertex_connectivity
+from fatpath.linkage import LinkageRequest, find_spanning_linkage
 
-from helpers import random_graph
+from helpers import independence_number_exact, is_hamiltonian_l_linked, random_graph
 
 
 def k(n):

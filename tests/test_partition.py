@@ -13,13 +13,12 @@ from fatpath.partition import (
     build_quotient,
     clique_partition_exact,
     kappa_partition,
-    partition_from_json,
     partition_to_json,
     refine_to_linked,
     separator_tree,
 )
 
-from helpers import random_graph
+from helpers import partition_from_json, random_graph
 
 
 def k(n):
