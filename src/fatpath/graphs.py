@@ -155,6 +155,32 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
+    def first_component_reaching(self, k: int) -> Optional[int]:
+        """The lowest vertex of the first component, by lowest vertex, with
+        at least k vertices; None if there is none.  One walk of the stored
+        neighbour lists that stops once a component reaches k; it builds no
+        sets and stores nothing."""
+        if k <= 1:
+            return 0 if self.n else None
+        order = self._order
+        seen = [False] * self.n
+        # a component found from s holds no vertex below s
+        for s in range(self.n - k + 1):
+            if seen[s] or not order[s]:
+                continue
+            seen[s] = True
+            size = 1
+            stack = [s]
+            while stack:
+                for w in order[stack.pop()]:
+                    if not seen[w]:
+                        size += 1
+                        if size >= k:
+                            return s
+                        seen[w] = True
+                        stack.append(w)
+        return None
+
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhoods as bitmasks, for subset DPs: a fresh
         list, which the caller may change."""

@@ -24,7 +24,9 @@ where it sits in the witness before the lift.
 
 The long path solver shares the search, the contraction and the
 expansion: it calls _dfs_ham, which with a target k finds paths on at least
-k vertices, as _dfs_longpath, first on G under the same budget; only past
+k vertices, as _dfs_longpath, first on G under the same budget, with its
+starts from the lowest vertex of the first component of at least k vertices
+(a graph with no such component is a "no" before any search); only past
 it does it call compress as build_weighted, once, with every vertex kept
 (longpath.mark), for one budgeted search on H, and reconstruct as _expand
 to lift what that search finds.  It has no retry: past that one try it
@@ -168,6 +170,7 @@ def _dfs_ham(
     kind: str = "path",
     k: Optional[int] = None,
     budget: Optional[int] = None,
+    first: int = 0,
 ) -> Optional[Certificate]:
     """Pruned exhaustive search for a cycle through vertex 0, or a path, on
     at least k vertices; k defaults to h.n, which asks for a Hamiltonian
@@ -178,7 +181,10 @@ def _dfs_ham(
     for the bag DP to pay off.  Starts in components too small for the
     target are skipped: a start with no neighbour at no cost, and once a
     start's first pop fails the length bound, every later start in its
-    component.
+    component.  A path search with a target k tries its starts from first
+    up; the long path solver passes the lowest vertex of the first component
+    of at least k vertices (Graph.first_component_reaching), so the smaller
+    components below it cost no pop.
 
     The search walks one path: seq, the mask of the vertices still free,
     and per vertex of seq the mask of its candidates not yet tried.  It
@@ -193,7 +199,7 @@ def _dfs_ham(
     popped = 0
     masks = h._masks  # the graph's own, only read
     full = (1 << n) - 1
-    starts = [0] if kind == "cycle" else range(n)
+    starts = [0] if kind == "cycle" else range(first, n)
     if kind == "path" and k is None:
         # a Hamiltonian path ends at every degree-1 vertex, so one reversed
         # starts at the smallest

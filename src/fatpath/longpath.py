@@ -2,14 +2,18 @@
 the shared contraction, then G itself, exactly or by randomized
 low-treewidth covers.
 
-The route, cheapest first: k <= 3 is answered directly; then the
-exhaustive search shared with the Hamiltonian solvers (hamilton._dfs_ham,
-called here as _dfs_longpath) decides G itself under the budget of
-hamilton.SEARCH_NODES popped nodes, skipping the components of fewer than
-k vertices.  Only when that budget runs out are G's components listed (none
-of k vertices is an exact "no"), the paper's partition built
-(kappa_partition, refine_to_linked), and the contraction both solvers
-share (hamilton.compress, called here as build_weighted) makes H once.
+The route, cheapest first: k <= 3 is answered directly, every witness
+checked.  Then one walk of G's neighbour lists
+(Graph.first_component_reaching) finds the first component of at least k
+vertices, the only kind that can hold the path; with none the answer is an
+exact "no".  Otherwise the exhaustive search shared with the Hamiltonian
+solvers (hamilton._dfs_ham, called here as _dfs_longpath) decides G itself
+under the budget of hamilton.SEARCH_NODES popped nodes, its starts from
+that component's lowest vertex up, skipping the later components of fewer
+than k vertices.  Only when that budget runs out are G's components listed,
+the paper's partition built (kappa_partition, refine_to_linked), and the
+contraction both solvers share (hamilton.compress, called here as
+build_weighted) makes H once.
 mark keeps every vertex, so H is G with every part that is not raw made a
 clique: it has every edge of G on the same vertices.  When H has more edges
 than G, the budgeted search runs on H: a search that ends without a path is
@@ -211,17 +215,17 @@ def _direct_small(g: Graph, k: int) -> Optional[Certificate]:
     its budget, and the partition then scans every pair of leaves, past
     20 s; this answers in under 1 ms."""
     if k == 1:
-        return Certificate("path", (0,))
+        return checked(g, "path", (0,), target=k)
     if k == 2:
         for u in range(g.n):
             for v in g.neighbors(u):
-                return Certificate("path", (u, v))
+                return checked(g, "path", (u, v), target=k)
         return None
     # k == 3: any midpoint with two distinct neighbors
     for v in range(g.n):
         nb = sorted(g.neighbors(v))
         if len(nb) >= 2:
-            return Certificate("path", (nb[0], v, nb[1]))
+            return checked(g, "path", (nb[0], v, nb[1]), target=k)
     return None
 
 
@@ -268,17 +272,19 @@ def solve_long_path(
         return None
     if k <= 3:
         return _direct_small(g, k)
+    # a path lies inside one component: with none of k vertices the answer
+    # is "no", and every vertex below s0 lies in a smaller one
+    s0 = g.first_component_reaching(k)
+    if s0 is None:
+        return None
     try:
-        # a search that ends without a path is an exact "no"; it skips the
-        # components of fewer than k vertices
-        return _dfs_longpath(g, k=k, budget=hamilton.SEARCH_NODES)
+        # a search that ends without a path is an exact "no"
+        return _dfs_longpath(g, k=k, budget=hamilton.SEARCH_NODES, first=s0)
     except SearchBudgetExceeded:
         pass
 
-    # past the budget: a path lies inside one component
+    # past the budget: the components that can hold the path
     big = [comp for comp in g.components() if len(comp) >= k]
-    if not big:
-        return None
     cfg = cfg or SolverConfig()
     # one try on H, which has every edge of G on the same vertices; with no
     # more edges it is G, on which the search has run out

@@ -294,3 +294,19 @@ def test_large_sparse_graph_stays_linear():
     assert sum(1 for _ in g.edges()) == n - 1
     assert sorted(g.neighbors(n // 2)) == [n // 2 - 1, n // 2 + 1]
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_first_component_reaching_agrees_with_components():
+    # sparse graphs with isolated vertices, the empty graph and every k up
+    # to n + 1: the lowest vertex of the first component of k vertices
+    rng = random.Random(23)
+    for trial in range(300):
+        n = 0 if trial == 0 else rng.randint(1, 40)
+        g = random_graph(n, rng.random() * 3 / max(n, 1), 7000 + trial)
+        sizes = [(len(c), c[0]) for c in g.components()]
+        for k_ in range(1, n + 2):
+            want = next((low for size, low in sizes if size >= k_), None)
+            fresh = Graph(n, g.edges())
+            assert fresh.first_component_reaching(k_) == want, (trial, k_)
+            # a scan of the stored lists: no neighbour set is built
+            assert not hasattr(fresh, "_sets"), (trial, k_)

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from fatpath import hamilton, longpath
+from fatpath.certificates import CertificateError
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph, bfs_ball
 from fatpath.hamilton import FallbackRequired
@@ -225,17 +227,101 @@ def test_solve_rejects_k_below_one():
 
 def test_solve_rejects_without_a_k_vertex_component(monkeypatch):
     # two disjoint P5s: no path has 6 vertices, and no component says so
-    # before any partition is built
+    # before any search runs or any partition is built
     g = Graph(10, [(i, i + 1) for i in (0, 1, 2, 3, 5, 6, 7, 8)])
 
     def partition(*args, **kwargs):
         raise AssertionError("the partition was built")
 
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
     monkeypatch.setattr(longpath, "kappa_partition", partition)
+    monkeypatch.setattr(longpath, "_dfs_longpath", search)
     assert solve_long_path(g, 6) is None
+    # forests of components of 1 to 5 vertices, isolated vertices included
+    rng = random.Random(9700)
+    for case in range(40):
+        parts = [random_graph(rng.randint(1, 5), 0.7, 9700 + 50 * case + i)
+                 for i in range(rng.randint(1, 12))]
+        forest = disjoint_union(parts)
+        for k_ in range(6, 9):
+            assert solve_long_path(forest, k_) is None, (case, k_)
     monkeypatch.undo()
     cert = solve_long_path(g, 5)
     assert cert is not None and cert.validate(g) and len(cert) == 5
+
+
+def relabelled(g, perm):
+    """g with vertex v renamed perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_search_starts_in_the_first_component_of_k_vertices(monkeypatch):
+    # components of fewer than k vertices around one larger component at
+    # low, middle, high and shuffled ids: every solve is decided by the
+    # budgeted search, with the certificate of the unbudgeted search from
+    # vertex 0, which tries the smaller components first
+    def partition(*args, **kwargs):
+        raise AssertionError("the partition was built")
+
+    search = longpath._dfs_longpath
+    monkeypatch.setattr(longpath, "kappa_partition", partition)
+    rng = random.Random(9900)
+    found = 0
+    for case in range(30):
+        k0 = rng.randint(4, 7)
+        nb = rng.randint(k0 + 1, 11)
+        tree = [(v, rng.randrange(v)) for v in range(1, nb)]
+        big = Graph(nb, tree + [tuple(rng.sample(range(nb), 2)) for _ in range(3)])
+        small = [random_graph(rng.randint(1, k0 - 1), 0.6, 9900 + 20 * case + i)
+                 for i in range(rng.randint(2, 8))]
+        mid = len(small) // 2
+        layouts = [[big] + small, small[:mid] + [big] + small[mid:], small + [big]]
+        graphs = [disjoint_union(parts) for parts in layouts]
+        perm = list(range(graphs[0].n))
+        rng.shuffle(perm)
+        graphs.append(relabelled(graphs[0], perm))
+        for where, g in enumerate(graphs):
+            for k_ in (k0, k0 + 1, nb):
+                want = search(g, k=k_)
+                assert solve_long_path(g, k_) == want, (case, where, k_)
+                found += want is not None
+    assert found > 0
+
+
+def test_search_decides_past_many_small_components(monkeypatch):
+    # 6 000 P3s, then a P6 at the highest ids, k = 6: a search from vertex
+    # 0 spends one pop per P3 and runs out of its budget; started in the P6
+    # it decides the solve, with no partition built
+    g = disjoint_union([path(3)] * 6000 + [path(6)])
+    with pytest.raises(hamilton.SearchBudgetExceeded):
+        longpath._dfs_longpath(g, k=6, budget=hamilton.SEARCH_NODES)
+
+    def partition(*args, **kwargs):
+        raise AssertionError("the partition was built")
+
+    monkeypatch.setattr(longpath, "kappa_partition", partition)
+    t0 = time.perf_counter()
+    cert = solve_long_path(g, 6)
+    assert time.perf_counter() - t0 < 1.0
+    assert cert is not None and cert.validate(g) and len(cert) == 6
+    assert min(cert.vertices) == 18_000
+
+
+def test_direct_small_witnesses_are_checked(monkeypatch):
+    # k <= 3 is answered without the search; a wrong witness on that branch
+    # must raise, not be returned; here vertex 0 has no edge, but is told
+    # every other vertex is its neighbour
+    g = Graph(4, [(2, 3)])
+
+    def lying(self, v):
+        return frozenset(range(self.n)) - {v}
+
+    monkeypatch.setattr(Graph, "neighbors", lying)
+    for k_ in (2, 3):
+        with pytest.raises(CertificateError):
+            solve_long_path(g, k_)
 
 
 def small_cases():
