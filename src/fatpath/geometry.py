@@ -150,8 +150,8 @@ def intersection_graph(inst: GeometricInstance) -> Graph:
     """Edge {i,j} iff objects i and j intersect (closed sets).
 
     A sweep along the first axis (module docstring) lists the candidate
-    pairs; the edges reach Graph in ascending (i, j) order, which fixes the
-    iteration order of every neighbour set.
+    pairs; the edges reach Graph in ascending (i, j) order, so neighbours
+    and edges() iterate in ascending order.
     """
     objs = inst.objects
     n = len(objs)

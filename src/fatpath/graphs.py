@@ -3,8 +3,8 @@
 Every solver in this package consumes plain graphs: vertex ids 0..n-1
 (Python ints), no weights, no directions, no mutation.  A graph stores one
 neighbour bitmask per vertex, for the bitmask searches and subset DPs, and
-per vertex its neighbours in the order the edge list first names them.
-Neighbour frozensets are built from those lists on first use.
+per vertex its neighbours in the order the edge list first names them, for
+the walks.
 """
 
 from __future__ import annotations
@@ -26,26 +26,23 @@ __all__ = [
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    The constructor stores two things per vertex and builds no sets: its
-    neighbours as a bitmask (_masks), which is also the duplicate test, and
-    as a list in the order the edge list first names them (_order).  m, the
-    degrees, has_edge, equality, hashing and adjacency_masks read these; the
-    bitmask search reads _masks as it is.  neighbors() and everything that
-    walks neighbours (edges, induced, components, is_connected) read
-    frozensets, built once from the lists on first use (_sets): a set filled
-    in list order, then frozen, so they iterate, and edges() yields, in the
-    order of a graph that built its frozensets in the constructor.
+    The constructor stores each vertex's neighbours twice: as a bitmask
+    (_masks), which is also the duplicate test, and as a list in the order
+    the edge list first names them (_order).  has_edge, equality, hashing,
+    adjacency_masks and the bitmask searches read the masks; neighbors()
+    and everything that walks neighbours read the lists, so they iterate,
+    and edges() yields, in first-occurrence order.  A graph built from
+    sorted edges therefore lists its edges sorted.
 
     Memory: the masks take up to n * (largest id) / 8 bytes, which is what
     a search or subset DP on the graph allocates anyway; the lists take one
-    reference per edge end, and the frozensets, once built, what they take.
+    reference per edge end.
 
     _td holds the graph's min-fill decomposition once
-    treewidth.heuristic_decomposition has computed it.  __init__ leaves _td
-    and _sets unset, so a graph never decomposed or walked costs nothing
-    more."""
+    treewidth.heuristic_decomposition has computed it; __init__ leaves it
+    unset."""
 
-    __slots__ = ("n", "_masks", "_order", "_sets", "_m", "_td")
+    __slots__ = ("n", "_masks", "_order", "_m", "_td")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -72,35 +69,23 @@ class Graph:
         self._order = order
         self._m = m
 
-    def _neighbour_sets(self) -> tuple[frozenset[int], ...]:
-        try:
-            return self._sets
-        except AttributeError:
-            self._sets = tuple(frozenset(set(a)) for a in self._order)
-            return self._sets
-
     @property
     def m(self) -> int:
         return self._m
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self._neighbour_sets()[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._order[v])
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """v's neighbours, in the order the edge list first names them."""
+        return tuple(self._order[v])
 
     def degrees(self) -> list[int]:
         """Every vertex's degree, in id order."""
         return list(map(len, self._order))
 
-    def max_degree(self) -> int:
-        return max(map(len, self._order), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return self._masks[u] >> v & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in enumerate(self._neighbour_sets()):
+        for u, nbrs in enumerate(self._order):
             for v in nbrs:
                 if u < v:
                     yield (u, v)
@@ -109,7 +94,7 @@ class Graph:
         """Induced subgraph plus the list mapping new ids to original ids."""
         vs = sorted(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
-        adj = self._neighbour_sets()
+        adj = self._order
         edges = [
             (index[u], index[v])
             for u in vs
@@ -119,24 +104,13 @@ class Graph:
         return Graph(len(vs), edges), vs
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self._neighbour_sets()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return self.n == 0 or self.first_component_reaching(self.n) == 0
 
     def components(self, within: Optional[Iterable[int]] = None) -> list[list[int]]:
         """The connected components as sorted lists, by lowest vertex; given
         within, those of self.induced(within), in this graph's ids."""
         keep = range(self.n) if within is None else set(within)
-        adj = self._neighbour_sets()
+        adj = self._order
         seen: set[int] = set()
         comps = []
         for s in sorted(keep):
@@ -158,8 +132,7 @@ class Graph:
     def first_component_reaching(self, k: int) -> Optional[int]:
         """The lowest vertex of the first component, by lowest vertex, with
         at least k vertices; None if there is none.  One walk of the stored
-        neighbour lists that stops once a component reaches k; it builds no
-        sets and stores nothing."""
+        neighbour lists that stops once a component reaches k."""
         if k <= 1:
             return 0 if self.n else None
         order = self._order
@@ -228,7 +201,7 @@ def bfs_ball(
         else:
             boundary.add(u)
             continue  # do not expand past distance r
-        for w in g.neighbors(u):
+        for w in g._order[u]:
             if w not in dist and w in keep:
                 dist[w] = du + 1
                 queue.append(w)
@@ -243,7 +216,7 @@ def greedy_mis(g: Graph) -> frozenset[int]:
         if v not in blocked:
             taken.add(v)
             blocked.add(v)
-            blocked.update(g.neighbors(v))
+            blocked.update(g._order[v])
     return frozenset(taken)
 
 
@@ -324,7 +297,7 @@ def find_separator_leq(
     base: dict[tuple[int, int], int] = {}
     for i, v in enumerate(nodes):
         base[2 * i, 2 * i + 1], base[2 * i + 1, 2 * i] = 1, 0
-        for w in g.neighbors(v):
+        for w in g._order[v]:
             if w in index:
                 base[2 * i + 1, 2 * index[w]], base[2 * index[w], 2 * i + 1] = _INF, 0
     succ: list[list[int]] = [[] for _ in range(2 * len(nodes))]

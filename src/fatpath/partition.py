@@ -212,8 +212,9 @@ def refine_to_linked(
     g: Graph, p0: Partition, cfg: SolverConfig
 ) -> tuple[Partition, Graph]:
     """Split every part into separator-tree leaves plus a clique cover of the
-    separator interiors; return the partition and its quotient.  Every piece that is a clique is tagged clique; the
-    others are linked (leaves) or raw (interior pieces)."""
+    separator interiors; return the partition and its quotient.  Every piece
+    that is a clique is tagged clique; the others are linked (leaves) or raw
+    (interior pieces)."""
     parts: list[frozenset[int]] = []
     kinds: list[PartKind] = []
 

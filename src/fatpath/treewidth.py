@@ -35,7 +35,7 @@ class TreeDecomposition:
 
 def validate(g: Graph, td: TreeDecomposition) -> bool:
     """The three axioms: vertex cover, edge cover, connected subtrees."""
-    import networkx as nx  # loaded here alone, so importing fatpath does not
+    import networkx as nx  # imported here, so importing fatpath does not load it
 
     b = len(td.bags)
     if b == 0:

@@ -27,22 +27,20 @@ def disjoint_union(parts):
     return Graph(n, edges)
 
 
-def reference_neighbour_sets(n, edges):
-    """The neighbour sets as a graph that stores frozensets builds them: a
-    set per vertex filled in the order the edge list first names each
-    neighbour, then frozen.  Their iteration order is the one every
-    neighbors() and edges() must keep."""
-    adj = [set() for _ in range(n)]
+def reference_neighbour_lists(n, edges):
+    """Each vertex's neighbours in the order the edge list first names them,
+    repeats dropped: the order neighbors() and edges() must keep."""
+    adj = [[] for _ in range(n)]
     for u, v in edges:
         if v not in adj[u]:
-            adj[u].add(v)
-            adj[v].add(u)
-    return tuple(frozenset(a) for a in adj)
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj
 
 
-def reference_edges(sets):
-    """edges() of a graph with these neighbour sets, in its order."""
-    return [(u, v) for u, nbrs in enumerate(sets) for v in nbrs if u < v]
+def reference_edges(lists):
+    """edges() of a graph with these neighbour lists, in its order."""
+    return [(u, v) for u, nbrs in enumerate(lists) for v in nbrs if u < v]
 
 
 def independence_number_exact(g):

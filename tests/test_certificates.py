@@ -40,7 +40,7 @@ def walk(rng, g, length):
     v = rng.randrange(g.n)
     seq = [v]
     while len(seq) < length:
-        free = sorted(g.neighbors(v) - set(seq))
+        free = sorted(set(g.neighbors(v)) - set(seq))
         if not free:
             break
         v = rng.choice(free)

@@ -38,6 +38,16 @@ def test_generate_graph_round_trip(tmp_path):
     assert g1.read_text() == write_graph(ref)
 
 
+def test_graph_lists_edges_in_ascending_order(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert run(["generate", "--n", "40", "--seed", "1", "--box-side", "12",
+                "-o", str(inst)])[0] == 0
+    code, out = run(["graph", str(inst)])
+    assert code == 0
+    edges = [tuple(map(int, line.split()[1:])) for line in out.splitlines()[1:]]
+    assert len(edges) > 40 and edges == sorted(edges)
+
+
 def test_ham_k5_yes(tmp_path):
     path, g = write_k5(tmp_path)
     code, out = run(["ham", path])

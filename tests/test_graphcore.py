@@ -21,7 +21,7 @@ from helpers import (
     independence_number_exact,
     random_graph,
     reference_edges,
-    reference_neighbour_sets,
+    reference_neighbour_lists,
 )
 
 PETERSEN = Graph(10, [
@@ -44,7 +44,7 @@ def test_ball_r1_is_vertex_plus_neighbors():
     for v in range(12):
         ball, boundary = bfs_ball(g, v, 1)
         assert ball == {v}
-        assert boundary == g.neighbors(v)
+        assert boundary == set(g.neighbors(v))
 
 
 def test_ball_p3():
@@ -100,10 +100,10 @@ def test_mis_independent_and_maximal(seed):
     g = random_graph(14, 0.3, seed)
     s = greedy_mis(g)
     for u in s:
-        assert not (g.neighbors(u) & s)
+        assert not (set(g.neighbors(u)) & s)
     for v in range(g.n):
         if v not in s:
-            assert g.neighbors(v) & s
+            assert set(g.neighbors(v)) & s
 
 
 def test_connectivity_complete():
@@ -140,7 +140,7 @@ def test_connectivity_at_most_min_degree():
         assert vertex_connectivity(g) == nx.node_connectivity(h)
         if not g.is_connected() or g.m == n * (n - 1) // 2:
             continue
-        assert vertex_connectivity(g) <= min(g.degree(v) for v in range(n))
+        assert vertex_connectivity(g) <= min(g.degrees())
 
 
 def test_separator_k5_absent():
@@ -225,6 +225,16 @@ def test_graph_file_round_trip():
     assert text.splitlines()[0] == f"p 17 {g.m}"
     again = read_graph(text)
     assert write_graph(again) == text
+    # graphs built from shuffled edge lists: the text read back writes
+    # itself again, line for line
+    rng = random.Random(31)
+    for trial in range(300):
+        n = rng.randint(2, 40)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.3]
+        rng.shuffle(edges)
+        text = write_graph(Graph(n, edges))
+        assert write_graph(read_graph(text)) == text, trial
 
 
 def test_read_graph_malformed():
@@ -251,8 +261,8 @@ def test_read_graph_counts_repeated_edge_records():
 
 
 def test_neighbour_order_is_first_occurrence_order():
-    # shuffled edge lists with repeated and reversed pairs: every neighbour
-    # set and edges() iterate as sets filled in first-occurrence order do
+    # shuffled edge lists with repeated and reversed pairs: neighbors() and
+    # edges() follow the order the edge list first names each neighbour
     rng = random.Random(11)
     for trial in range(300):
         n = rng.randint(0, 70)
@@ -262,8 +272,8 @@ def test_neighbour_order_is_first_occurrence_order():
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
         rng.shuffle(edges)
         g = Graph(n, edges)
-        ref = reference_neighbour_sets(n, edges)
-        assert [list(g.neighbors(v)) for v in range(n)] == [list(a) for a in ref], trial
+        ref = reference_neighbour_lists(n, edges)
+        assert [list(g.neighbors(v)) for v in range(n)] == ref, trial
         assert list(g.edges()) == reference_edges(ref), trial
         assert g.m == len(reference_edges(ref))
         masks = g.adjacency_masks()
@@ -298,15 +308,14 @@ def test_large_sparse_graph_stays_linear():
 
 def test_first_component_reaching_agrees_with_components():
     # sparse graphs with isolated vertices, the empty graph and every k up
-    # to n + 1: the lowest vertex of the first component of k vertices
+    # to n + 1: the lowest vertex of the first component of k vertices, and
+    # is_connected, which asks for a component of all n
     rng = random.Random(23)
     for trial in range(300):
         n = 0 if trial == 0 else rng.randint(1, 40)
         g = random_graph(n, rng.random() * 3 / max(n, 1), 7000 + trial)
         sizes = [(len(c), c[0]) for c in g.components()]
+        assert g.is_connected() == (len(sizes) <= 1), trial
         for k_ in range(1, n + 2):
             want = next((low for size, low in sizes if size >= k_), None)
-            fresh = Graph(n, g.edges())
-            assert fresh.first_component_reaching(k_) == want, (trial, k_)
-            # a scan of the stored lists: no neighbour set is built
-            assert not hasattr(fresh, "_sets"), (trial, k_)
+            assert g.first_component_reaching(k_) == want, (trial, k_)
