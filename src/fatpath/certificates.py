@@ -22,16 +22,29 @@ class Certificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def validate(self, g: Graph, hamiltonian: bool = False) -> bool:
+        """True when the vertices are a simple path of g, or for a cycle a
+        simple cycle of at least 3 vertices whose last vertex is adjacent
+        to its first; with hamiltonian, one through all g.n vertices.  One
+        pass over the sequence and g's neighbour bitmasks: each vertex must
+        be an id of g, absent from the mask of those seen, and a bit of its
+        predecessor's mask.  The closing edge is read last, once every id
+        is known to be in range."""
         vs = self.vertices
-        if not vs or len(vs) != len(set(vs)):
+        n = g.n
+        if hamiltonian and len(vs) != n or len(vs) < (3 if self.kind == "cycle" else 1):
             return False
-        if min(vs) < 0 or max(vs) >= g.n:
-            return False
-        if self.kind == "cycle" and (len(vs) < 3 or not g.has_edge(vs[-1], vs[0])):
-            return False
-        if not all(map(g.has_edge, vs, vs[1:])):
-            return False
-        return not hamiltonian or len(vs) == g.n
+        masks = g._masks  # the graph's own, only read
+        seen = 0
+        nbrs = -1  # any vertex may come first
+        for v in vs:
+            if not 0 <= v < n:
+                return False
+            bit = 1 << v
+            if seen & bit or not nbrs & bit:
+                return False
+            seen |= bit
+            nbrs = masks[v]
+        return self.kind == "path" or nbrs >> vs[0] & 1 == 1
 
     def serialize(self) -> str:
         return f"{self.kind}: " + " ".join(str(v) for v in self.vertices)

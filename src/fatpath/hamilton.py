@@ -3,15 +3,18 @@ compression past the search budget.
 
 Route (_solve): a complete G on at least 3 vertices, answered in id order;
 a degree rejection (_degree_rejects); then the exhaustive search _dfs_ham
-on G itself under a budget of SEARCH_NODES popped nodes, which skips the
-starts in components too small for its target.  The rejection and the
-search also answer the smallest graphs: no cycle on fewer than 3
-vertices, the path (0,) on one vertex and (0, 1) on K2.  The search
-decides a disconnected G, a "no": a cycle at its first pop, a path after
-one pop per component.  Only when that budget runs out is connectivity
-checked, a disconnected G again a "no", and does the paper's pipeline
-run: keep the endpoints of every cross edge (the blue edges,
-select_blue_edges), then contract G along the partition (compress):
+on G itself under a budget of SEARCH_NODES popped nodes.  A cycle starts
+at a vertex of fewest neighbours and is cut where its start has no free
+neighbour left to close it through; a Hamiltonian path starts at a degree-1
+vertex, or else tries its starts by ascending degree, skipping those in
+components too small for it.  The rejection and the search also answer
+the smallest graphs: no cycle on fewer than 3 vertices, the path (0,) on
+one vertex and (0, 1) on K2.  The search decides a disconnected G, a
+"no": a cycle at its first pop, a path after one pop per component.  Only
+when that budget runs out is connectivity checked, a disconnected G again
+a "no", and does the paper's pipeline run: keep the endpoints of every
+cross edge (the blue edges, select_blue_edges), then contract G along the
+partition (compress):
 every part that is not raw keeps those vertices plus one contracted vertex
 standing for the rest and becomes a clique (the red edges of red_closure,
 added inline); raw parts stay whole with their own edges.  H is decided
@@ -172,25 +175,38 @@ def _dfs_ham(
     budget: Optional[int] = None,
     first: int = 0,
 ) -> Optional[Certificate]:
-    """Pruned exhaustive search for a cycle through vertex 0, or a path, on
-    at least k vertices; k defaults to h.n, which asks for a Hamiltonian
-    cycle or path.  The first exact step of both solvers: with a budget, it
-    raises SearchBudgetExceeded once it has popped more than budget nodes
-    over all its starts, and the caller goes on to the DP.  Without one it
-    runs to the end, as for small graphs whose decompositions are too wide
-    for the bag DP to pay off.  Starts in components too small for the
-    target are skipped: a start with no neighbour at no cost, and once a
-    start's first pop fails the length bound, every later start in its
-    component.  A path search with a target k tries its starts from first
-    up; the long path solver passes the lowest vertex of the first component
-    of at least k vertices (Graph.first_component_reaching), so the smaller
-    components below it cost no pop.
+    """Pruned exhaustive search for a Hamiltonian cycle or path of h or,
+    with a target k, for a path on at least k vertices.  The first exact
+    step of all three solvers: with a budget, it raises
+    SearchBudgetExceeded once it has popped more than budget nodes over all
+    its starts, and the caller goes on to the DP.  Without one it runs to
+    the end, as for small graphs whose decompositions are too wide for the
+    bag DP to pay off.
+
+    Starts.  Every vertex lies on a Hamiltonian cycle, so a cycle has one
+    start, the lowest id of fewest neighbours: from a degree-2 start the
+    second and last vertices are fixed.  A Hamiltonian path ends at every
+    degree-1 vertex, so one reversed starts at the smallest; with none, the
+    starts go by ascending degree, then id.  A search with a target k tries
+    its starts from first up; the long path solver passes the lowest vertex
+    of the first component of at least k vertices
+    (Graph.first_component_reaching), so the smaller components below it
+    cost no pop.  Path starts in components too small for the target are
+    skipped: a start with no neighbour at no cost, and once a start's first
+    pop fails the length bound, every later start in its component.  A
+    cycle start with no neighbour costs one pop, so every decided call pops
+    at least one node.
 
     The search walks one path: seq, the mask of the vertices still free,
     and per vertex of seq the mask of its candidates not yet tried.  It
     extends seq by the highest untried candidate, so a child is built only
-    when it is popped, and undoes it on the way back.  It reads the
-    neighbour bitmasks h stores and builds no adjacency of its own."""
+    when it is popped, and undoes it on the way back.  Its cuts are exact:
+    the length bound (the free vertices reachable from the active end must
+    hold enough of them), and for a cycle, which closes through a free
+    neighbour of its start, a node where the start has none left is dead,
+    and while more than one vertex remains to add, the start's last free
+    neighbour is not taken next.  It reads the neighbour bitmasks h stores
+    and builds no adjacency of its own."""
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
@@ -199,15 +215,24 @@ def _dfs_ham(
     popped = 0
     masks = h._masks  # the graph's own, only read
     full = (1 << n) - 1
-    starts = [0] if kind == "cycle" else range(first, n)
-    if kind == "path" and k is None:
-        # a Hamiltonian path ends at every degree-1 vertex, so one reversed
-        # starts at the smallest
-        pendants = [v for v, d in enumerate(h.degrees()) if d == 1]
-        starts = pendants[:1] or starts
+    cycle = kind == "cycle"
+    if k is None:
+        degrees = h.degrees()
+        if cycle:
+            # every vertex lies on a Hamiltonian cycle: one start serves, the
+            # one with the fewest choices
+            starts = [degrees.index(min(degrees))]
+        elif 1 in degrees:
+            # a Hamiltonian path ends at every degree-1 vertex, so one
+            # reversed starts at the smallest
+            starts = [degrees.index(1)]
+        else:
+            starts = sorted(range(n), key=degrees.__getitem__)  # by degree, then id
+    else:
+        starts = range(first, n)
     skip = 0  # the starts in components too small for the target
     for s in starts:
-        if skip >> s & 1 or (target > 1 and not masks[s]):
+        if skip >> s & 1 or (not cycle and target > 1 and not masks[s]):
             continue
         seq = [s]
         free = full ^ 1 << s
@@ -219,22 +244,30 @@ def _dfs_ham(
                 raise SearchBudgetExceeded(budget)
             v = seq[-1]
             depth = len(seq)
-            cand = 0
-            if depth >= target:
-                if kind == "path" or masks[v] >> s & 1:
+            need = target - depth
+            cand = masks[v] & free
+            if need <= 0:
+                if not cycle or masks[v] >> s & 1:
                     # with k = n this is a Hamiltonian check
                     return checked(h, kind, seq, target=target)
-            else:
+                cand = 0
+            elif cycle:
+                # the cycle closes through a free neighbour of s: with none
+                # left it cannot, and the last one left must come last
+                ends = masks[s] & free
+                if not ends:
+                    cand = 0
+                elif not ends & ends - 1 and need > 1:
+                    cand &= ~ends
+            if cand:
                 # length bound: only free vertices reachable from the active
                 # end through free vertices can still join the path; stop
                 # growing reach once it holds enough of them
-                need = target - depth
                 frontier = masks[v] & free
                 reach = 0
                 while frontier:
                     reach |= frontier
                     if reach.bit_count() >= need:
-                        cand = masks[v] & free
                         break
                     grow = 0
                     rest = frontier
@@ -244,6 +277,7 @@ def _dfs_ham(
                         grow |= masks[u]
                     frontier = grow & free & ~reach
                 else:
+                    cand = 0
                     if depth == 1:
                         # reach is the rest of s's component, which is too small
                         skip |= reach | 1 << s

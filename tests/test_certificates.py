@@ -50,7 +50,8 @@ def walk(rng, g, length):
 
 def sequences(rng, g):
     """Random vertex sequences on g: walks, walks with one vertex changed,
-    repeated or dropped, ids out of range, and the short cases."""
+    repeated or dropped, ids out of range (the last one among them, where a
+    cycle's closing edge starts), and the short cases."""
     yield []
     for length in (1, 2, 3):
         yield [rng.randrange(g.n) for _ in range(length)]
@@ -60,6 +61,7 @@ def sequences(rng, g):
         yield seq[::-1]
         i = rng.randrange(len(seq))
         yield seq[:i] + [rng.choice((-1, -g.n, g.n, g.n + 3))] + seq[i + 1:]
+        yield seq[:-1] + [rng.choice((-1, -g.n, g.n, g.n + 3))]
         yield seq[:i] + [rng.randrange(g.n)] + seq[i + 1:]
         yield seq + [seq[i]]
         yield seq[:i] + seq[i + 1:]
@@ -68,10 +70,15 @@ def sequences(rng, g):
 
 
 def test_validate_matches_the_reference():
+    # small graphs, then graphs of 60-130 vertices, whose neighbour masks
+    # are wider than a machine word
     rng = random.Random(9900)
+    cases = [random_graph(rng.randint(1, 9), rng.uniform(0.2, 0.9), 9900 + case)
+             for case in range(150)]
+    cases += [random_graph(rng.randint(60, 130), rng.uniform(0.02, 0.1), 9750 + case)
+              for case in range(30)]
     counts = {True: 0, False: 0}
-    for case in range(150):
-        g = random_graph(rng.randint(1, 9), rng.uniform(0.2, 0.9), 9900 + case)
+    for case, g in enumerate(cases):
         for seq in sequences(rng, g):
             for kind in ("path", "cycle"):
                 cert = Certificate(kind, tuple(seq))

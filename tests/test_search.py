@@ -52,6 +52,10 @@ def test_hamiltonian_search_matches_held_karp():
             if cert is not None:
                 assert cert.kind == kind, (seed, kind)
                 assert cert.validate(g, hamiltonian=True), (seed, kind)
+                if kind == "cycle":
+                    # the cycle starts at the lowest id of fewest neighbours
+                    degrees = g.degrees()
+                    assert cert.vertices[0] == degrees.index(min(degrees)), seed
 
 
 def test_unit_weight_search_matches_longest_path():
@@ -103,6 +107,41 @@ def test_budget_counts_popped_nodes():
                 hamilton._dfs_ham(g, budget=need - 1, **call)
             for budget in (need, need + 100):
                 assert hamilton._dfs_ham(g, budget=budget, **call) == full, (seed, call)
+
+
+def test_cycle_with_a_vertex_of_degree_below_two_costs_one_pop():
+    # the cycle starts at a vertex of fewest neighbours, here isolated or a
+    # pendant: no cycle through it, which its first pop decides
+    rng = random.Random(9350)
+    for case in range(60):
+        n = rng.randint(3, 14)
+        base = random_graph(n, rng.uniform(0.3, 0.9), 9350 + case)
+        v = rng.randrange(n)
+        edges = [e for e in base.edges() if v not in e]
+        if case % 2:
+            edges.append((v, rng.choice([u for u in range(n) if u != v])))
+        g = Graph(n, edges)
+        assert min(g.degrees()) < 2, case
+        assert hamilton._dfs_ham(g, "cycle", budget=1) is None, case
+        assert least_budget(g, kind="cycle") == 1, case
+
+
+def test_cycle_search_decides_cycles_and_wheels_within_n_pops():
+    rng = random.Random(9360)
+    for n in range(3, 40):
+        # C_n under a random labelling: every vertex has degree 2, and each
+        # step has one way on
+        ids = rng.sample(range(n), n)
+        c = Graph(n, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+        assert least_budget(c, kind="cycle") <= n, n
+        assert hamilton._dfs_ham(c, "cycle").validate(c, hamiltonian=True), n
+        # the wheel: a hub joined to every vertex of a rim in id order
+        for hub in {0, n // 2, n - 1}:
+            rim = [v for v in range(n) if v != hub]
+            w = Graph(n, [(rim[i - 1], rim[i]) for i in range(len(rim))]
+                      + [(hub, v) for v in rim])
+            assert least_budget(w, kind="cycle") <= n, (n, hub)
+            assert hamilton._dfs_ham(w, "cycle").validate(w, hamiltonian=True), (n, hub)
 
 
 def test_solvers_fall_back_to_the_dp_past_the_budget(monkeypatch):
@@ -216,15 +255,21 @@ def test_long_path_rejects_components_too_small_before_the_partition(monkeypatch
 
 def test_search_matches_its_golden_digest():
     # the witness and the fewest popped nodes that decide each call, on 300
-    # G(n, p) graphs: a change to the order in which the search visits its
-    # nodes, or to how many it pops, changes the digest
-    h = hashlib.sha256()
+    # G(n, p) graphs, in two halves: the Hamiltonian calls and the long path
+    # calls (k given).  A change to the order in which the search visits its
+    # nodes, or to how many it pops, changes the digest of its half; the
+    # verdicts alone have a third digest, which no such change may move
+    hamiltonian, long_path, verdicts = (hashlib.sha256() for _ in range(3))
     for i in range(300):
         n, p = 1 + i // 4 % 14, (0.15, 0.3, 0.5, 0.7)[i % 4]
         g = random_graph(n, p, 9800 + i)
-        for call in (dict(kind="cycle"), dict(kind="path"),
-                     dict(k=n // 2), dict(k=n - 1)):
+        for half, call in ((hamiltonian, dict(kind="cycle")),
+                           (hamiltonian, dict(kind="path")),
+                           (long_path, dict(k=n // 2)), (long_path, dict(k=n - 1))):
             need = least_budget(g, **call)
             cert = hamilton._dfs_ham(g, budget=need, **call)
-            h.update(repr((cert and cert.vertices, need)).encode())
-    assert h.hexdigest() == "9f71cfbbf2805b25a234769e8e3c4a548ed39401a293adfa5d7a9c3215f8833f"
+            half.update(repr((cert and cert.vertices, need)).encode())
+            verdicts.update(repr(cert is None).encode())
+    assert hamiltonian.hexdigest() == "b17edf248983827c0a8222951b729d6bc602c7ca524adb0d93c1f12dc93dda38"
+    assert long_path.hexdigest() == "fc066a221770ceca1436fdefabe578d83636daf2e84c1a58b6fe3320dc71d770"
+    assert verdicts.hexdigest() == "9e83188679e5e19f2441d6d78a54a14f65716209f67d7077716dd753cd05fc0e"
