@@ -36,13 +36,14 @@ to lift what that search finds.  It has no retry: past that one try it
 decides G itself.
 
 This module also holds the lift both solvers share: _lift splits the
-witness into same-part runs, replaces the runs inside linked parts by exact
-spanning linkages and validates the result, raising FallbackRequired for a
-part it cannot lift.  _solve then retries with that part kept verbatim
-(raw), so soundness never depends on the desk-scale connectivity
+witness into same-part runs and replaces the runs inside linked parts by
+exact spanning linkages, raising FallbackRequired for a part with none (or
+too large to look for one).  _solve then retries with that part kept
+verbatim (raw), so soundness never depends on the desk-scale connectivity
 constants.  Every witness passes certificates.checked, which raises
-CertificateError instead of asserting: the search's in _dfs_ham, the DP's
-inside dp.solve_dp, which returns a checked Certificate or None.
+CertificateError instead of asserting: the search's in _dfs_ham, the
+lift's in _lift, the DP's inside dp.solve_dp, which returns a checked
+Certificate or None.
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ def _dfs_ham(
     first: int = 0,
 ) -> Optional[Certificate]:
     """Pruned exhaustive search for a Hamiltonian cycle or path of h or,
-    with a target k, for a path on at least k vertices.  The first exact
-    step of all three solvers: with a budget, it raises
+    with a target k, for a path on at least k vertices; a target is for
+    path searches only, and a cycle search given one raises ValueError.
+    The first exact step of all three solvers: with a budget, it raises
     SearchBudgetExceeded once it has popped more than budget nodes over all
     its starts, and the caller goes on to the DP.  Without one it runs to
     the end, as for small graphs whose decompositions are too wide for the
@@ -207,6 +209,8 @@ def _dfs_ham(
     and while more than one vertex remains to add, the start's last free
     neighbour is not taken next.  It reads the neighbour bitmasks h stores
     and builds no adjacency of its own."""
+    if kind == "cycle" and k is not None:
+        raise ValueError("a target k is for path searches only")
     n = h.n
     if n == 0 or (kind == "cycle" and n < 3):
         return None
@@ -336,9 +340,11 @@ def _lift(
     The sequence is split into maximal same-part runs.  In every linked part
     that is not raw, the runs of two or more vertices are replaced by an
     exact spanning linkage of the part minus its one-vertex runs; clique and
-    raw parts keep their runs, whose edges are input edges.  The joined
-    sequence must then validate on g.  Any failure raises FallbackRequired
-    naming the part to keep whole in the next round.
+    raw parts keep their runs, whose edges are input edges.  A part whose
+    remainder exceeds the linkage size guard, or which has no such linkage,
+    raises FallbackRequired naming it, to be kept whole in the next round.
+    The joined sequence passes certificates.checked, so one that does not
+    validate raises CertificateError.
     """
     owner = p.part_of()
     runs = _runs(seq, owner, kind == "cycle")
@@ -362,12 +368,9 @@ def _lift(
         for ri, path in zip(open_ris, link.paths):
             runs[ri] = list(path)
 
-    cert = Certificate(kind, tuple(v for run in runs for v in run))
-    if not cert.validate(g, hamiltonian):
-        # a lifted certificate that fails validation signals a part whose
-        # linkage-free handling was unsound; fall back on the first culprit
-        raise FallbackRequired(min(by_part))
-    return cert
+    # a joined sequence that does not validate is a solver bug, not a part
+    # to keep whole
+    return checked(g, kind, [v for run in runs for v in run], hamiltonian=hamiltonian)
 
 
 def reconstruct(

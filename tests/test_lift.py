@@ -22,6 +22,7 @@ from fatpath import dp, hamilton, longpath
 from fatpath.certificates import CertificateError, checked
 from fatpath.geometry import generate_instance, intersection_graph
 from fatpath.graphs import Graph
+from fatpath.linkage import Linkage
 from fatpath.oracle import held_karp_cycle, held_karp_path, longest_path_exact
 from fatpath.partition import (
     RAW,
@@ -167,6 +168,27 @@ def test_corrupt_dp_witness_raises_certificate_error(monkeypatch):
         hamilton.solve_hamiltonian_cycle(c5)
     with pytest.raises(CertificateError):
         hamilton.solve_hamiltonian_path(c5)
+
+
+def test_corrupt_linkage_raises_certificate_error(monkeypatch):
+    # linkage paths with their interiors reversed keep their ends; on this
+    # graph the joined cycle then uses a non-edge: a solver bug, which no
+    # fallback round may hide by keeping a part whole
+    find = hamilton.find_spanning_linkage
+
+    def reversed_interiors(g, req):
+        link = find(g, req)
+        if link is None:
+            return None
+        return Linkage(tuple(p[:1] + p[-2:0:-1] + p[-1:] if len(p) > 1 else p
+                             for p in link.paths))
+
+    monkeypatch.setattr(hamilton, "find_spanning_linkage", reversed_interiors)
+    monkeypatch.setattr(hamilton, "SEARCH_NODES", 0)
+    dense = intersection_graph(generate_instance(
+        d=2, beta=2.0, n=12, box_side=math.sqrt(12), shape_mix=0.5, seed=5))
+    with pytest.raises(CertificateError):
+        hamilton.solve_hamiltonian_cycle(dense, SolverConfig(g_threshold=1))
 
 
 def test_corrupt_longpath_witness_raises_certificate_error(monkeypatch):

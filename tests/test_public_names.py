@@ -1,11 +1,15 @@
 """Every name a fatpath module exports must exist, so a deletion that leaves
 its ``__all__`` entry behind fails here rather than at a caller's import.
-And no module checks anything with ``assert``, which ``python -O`` strips."""
+No module checks anything with ``assert``, which ``python -O`` strips.  And
+importing the package loads no networkx, which only validation and the
+min-fill decomposition import, on first use."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import subprocess
+import sys
 
 import fatpath
 
@@ -33,3 +37,15 @@ def test_no_assert_in_the_package():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_import_loads_no_networkx():
+    code = (
+        "import sys\n"
+        "import fatpath, fatpath.cli\n"
+        "raise SystemExit('networkx' in sys.modules)\n"
+    )
+    src = os.path.dirname(fatpath.__path__[0])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0

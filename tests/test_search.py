@@ -109,6 +109,18 @@ def test_budget_counts_popped_nodes():
                 assert hamilton._dfs_ham(g, budget=budget, **call) == full, (seed, call)
 
 
+def test_a_target_is_for_path_searches_only():
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(ValueError):
+        hamilton._dfs_ham(c5, "cycle", k=3)
+    # the path searches with a target are unchanged
+    for k in range(1, 6):
+        cert = hamilton._dfs_ham(c5, "path", k=k)
+        assert cert.kind == "path" and cert.validate(c5) and len(cert) >= k, k
+        assert longpath._dfs_longpath(c5, k=k) == cert, k
+    assert hamilton._dfs_ham(c5, "path", k=6) is None
+
+
 def test_cycle_with_a_vertex_of_degree_below_two_costs_one_pop():
     # the cycle starts at a vertex of fewest neighbours, here isolated or a
     # pendant: no cycle through it, which its first pop decides
