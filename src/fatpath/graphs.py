@@ -4,7 +4,8 @@ Every solver in this package consumes plain graphs: vertex ids 0..n-1
 (Python ints), no weights, no directions, no mutation.  A graph stores one
 neighbour bitmask per vertex, for the bitmask searches and subset DPs, and
 per vertex its neighbours in the order the edge list first names them, for
-the walks.
+the walks.  Minimum vertex separators are networkx's minimum_node_cut,
+imported on first use, so importing the package does not load networkx.
 """
 
 from __future__ import annotations
@@ -220,51 +221,11 @@ def greedy_mis(g: Graph) -> frozenset[int]:
     return frozenset(taken)
 
 
-_INF = 1 << 30
-
-
-def _max_vertex_disjoint_paths(
-    succ: list[list[int]], base: dict[tuple[int, int], int], s: int, t: int, cap: int
-) -> tuple[int, list[int]]:
-    """Max flow from s_in to t_out on a copy of the split network's capacities,
-    with s and t uncapacitated; stops once the flow passes cap.
-
-    Returns (flow, cut); past cap the cut is empty.  Otherwise the cut holds
-    the nodes whose in-node the last, failed search reaches and whose
-    out-node it does not: the source-side minimum cut.
-    """
-    residual = dict(base)
-    residual[2 * s, 2 * s + 1] = residual[2 * t, 2 * t + 1] = _INF
-    source, sink = 2 * s, 2 * t + 1
-    flow = 0
-    while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for w in succ[u]:
-                if w not in parent and residual[u, w] > 0:
-                    parent[w] = u
-                    queue.append(w)
-        if sink not in parent:
-            half = len(succ) // 2
-            return flow, [i for i in range(half) if 2 * i in parent and 2 * i + 1 not in parent]
-        flow += 1
-        if flow > cap:
-            return flow, []
-        w = sink
-        while w != source:
-            u = parent[w]
-            residual[u, w] -= 1
-            residual[w, u] += 1
-            w = u
-
-
 def vertex_connectivity(g: Graph) -> int:
     """Minimum vertex-separator size; n-1 for complete graphs, 0 if disconnected.
 
     A connected graph that is not complete has a separator of at most n-2
-    vertices (all but a nonadjacent pair), so one scan finds the minimum.
+    vertices (all but a nonadjacent pair), so one call finds the minimum.
     """
     if g.n <= 1 or not g.is_connected():
         return 0
@@ -277,39 +238,28 @@ def find_separator_leq(
 ) -> Optional[frozenset[int]]:
     """A minimum vertex separator of g[induced_on], returned only if its size <= s.
 
-    Absent means g[induced_on] is (s+1)-connected or complete.  The scan
-    skips empty cuts, so g[induced_on] must be connected.  One scan
-    (Menger, by max flow): the split network, node i of the sorted vertices
-    as in-node 2i and out-node 2i+1 joined by a unit arc, is built once, and
-    each nonadjacent pair in ascending order runs a flow on a fresh copy of
-    its capacities, capped one below the best cut so far.  Deterministic: a
-    pair's cut is the source-side minimum cut, whose reach set is the same
-    for every maximum flow, so the pair order alone fixes the separator.
+    Absent means g[induced_on] is (s+1)-connected or complete.  g[induced_on]
+    must be connected.  The separator is networkx's minimum_node_cut, which
+    runs max flows from one vertex of minimum degree to each non-neighbour
+    and between the nonadjacent pairs of its neighbours (Even 1975;
+    Esfahanian and Hakimi 1984), not one per nonadjacent pair.  Its result
+    depends on the graph's node and edge order alone, which here are the
+    sorted vertices and their neighbour lists, so reruns are identical.
     """
     if s < 0:
         raise ValueError("separator budget must be >= 0")
     nodes = sorted(set(induced_on))
-    pairs = [(i, j) for i, u in enumerate(nodes) for j in range(i + 1, len(nodes))
-             if not g.has_edge(u, nodes[j])]
-    if not pairs:
+    # on a clique networkx returns a neighbourhood, which separates nothing
+    if g.is_clique(nodes):
         return None
-    index = {v: i for i, v in enumerate(nodes)}
-    base: dict[tuple[int, int], int] = {}
-    for i, v in enumerate(nodes):
-        base[2 * i, 2 * i + 1], base[2 * i + 1, 2 * i] = 1, 0
-        for w in g._order[v]:
-            if w in index:
-                base[2 * i + 1, 2 * index[w]], base[2 * index[w], 2 * i + 1] = _INF, 0
-    succ: list[list[int]] = [[] for _ in range(2 * len(nodes))]
-    for u, w in sorted(base):
-        succ[u].append(w)
-    best: list[int] = []
-    for i, j in pairs:
-        cap = len(best) - 1 if best else s
-        _, cut = _max_vertex_disjoint_paths(succ, base, i, j, cap)
-        if cut:  # empty past cap, and for a pair in different components
-            best = cut
-    return frozenset(nodes[i] for i in best) if best else None
+    import networkx as nx  # imported here, so importing fatpath does not load it
+
+    keep = set(nodes)
+    h = nx.Graph()
+    h.add_nodes_from(nodes)
+    h.add_edges_from((u, w) for u in nodes for w in g._order[u] if w in keep)
+    cut = nx.minimum_node_cut(h)
+    return frozenset(cut) if len(cut) <= s else None
 
 
 def write_graph(g: Graph) -> str:

@@ -212,8 +212,8 @@ def _direct_small(g: Graph, k: int) -> Optional[Certificate]:
     Kept although the search gives the same verdicts, because this takes
     time linear in g and the search need not: on the star K_{1,6000} with
     k = 3 the search starts at the centre, whose two-vertex paths use up
-    its budget, and the partition then scans every pair of leaves, past
-    20 s; this answers in under 1 ms."""
+    its budget, and the partition's separator then runs one max flow per
+    leaf, past 120 s; this answers in under 1 ms."""
     if k == 1:
         return checked(g, "path", (0,), target=k)
     if k == 2:

@@ -6,7 +6,7 @@ separator tree (separator_tree, which returns the tree's leaves, sets with
 no small separator, and its interior, the union of its separators), plus an
 exhaustive clique partition of the interior, or else its connected pieces.
 Every piece is tagged once: clique if it is one, otherwise linked (a leaf,
-certified (g_threshold+1)-connected by the separator scan of graphs.py) or
+certified (g_threshold+1)-connected by graphs.find_separator_leq) or
 raw (an interior piece).  build_quotient returns the quotient on the parts
 as a plain Graph, part i as vertex i.
 """

@@ -151,8 +151,11 @@ def test_separator_cut_vertex():
     # two triangles joined at vertex 0
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     assert find_separator_leq(g, frozenset(range(5)), 1) == {0}
-    # P5 has three cut vertices; the first nonadjacent pair's cut is kept
-    assert find_separator_leq(path(5), frozenset(range(5)), 1) == {1}
+    # P5 has three cut vertices.  The flows start at vertex 0 (the lowest of
+    # least degree); each one's cut is the one beside its target, and a later
+    # cut of equal size replaces an earlier one, so the last flow, 0 to 4,
+    # gives {3}
+    assert find_separator_leq(path(5), frozenset(range(5)), 1) == {3}
 
 
 def test_separator_agrees_with_enumeration():
@@ -179,15 +182,36 @@ def test_separator_agrees_with_enumeration():
         if found is not None:
             sub, _ = g.induced(x - found)
             assert len(sub.components()) > 1
-    # minimum size against subset enumeration, at every cap up to 3
+    # minimum size against subset enumeration, at every cap up to 4
+    inputs = []
     for seed in range(30):
         g = random_graph(6 + seed % 9, (0.3, 0.5, 0.7)[seed % 3], 300 + seed)
-        x = frozenset(max(g.components(), key=len))
-        for cap in range(4):
+        inputs.append((g, frozenset(max(g.components(), key=len))))
+    # vertex 0, of least degree, is the only cut vertex: it joins two K5s
+    # through two vertices of each, so only a flow between two of its
+    # neighbours finds {0}
+    edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
+    edges += itertools.combinations(range(1, 6), 2)
+    edges += itertools.combinations(range(6, 11), 2)
+    two_k5 = Graph(11, edges)
+    whole = [two_k5]
+    for m in (1, 2, 3, 7, 16):  # stars and K_{2,m}
+        whole.append(Graph(m + 1, [(0, i) for i in range(1, m + 1)]))
+        whole.append(Graph(m + 2, [(a, i) for a in (0, 1) for i in range(2, m + 2)]))
+    for m in (3, 4, 5, 8, 16):  # wheels: a hub and a rim of m
+        rim = [(i, i % m + 1) for i in range(1, m + 1)]
+        whole.append(Graph(m + 1, [(0, i) for i in range(1, m + 1)] + rim))
+    inputs += [(g, frozenset(range(g.n))) for g in whole]
+    for i, (g, x) in enumerate(inputs):
+        for cap in range(5):
             found = find_separator_leq(g, x, cap)
             ref = separator_enum(g, x, cap)
-            assert (found is None) == (ref is None), (seed, cap)
-            assert found is None or len(found) == len(ref), (seed, cap)
+            assert (found is None) == (ref is None), (i, cap)
+            if found is not None:
+                assert len(found) == len(ref), (i, cap)
+                sub, _ = g.induced(x - found)
+                assert len(sub.components()) > 1, (i, cap)
+    assert find_separator_leq(two_k5, frozenset(range(11)), 1) == {0}
 
 
 def test_alpha_complete():

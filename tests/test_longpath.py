@@ -309,6 +309,19 @@ def test_search_decides_past_many_small_components(monkeypatch):
     assert min(cert.vertices) == 18_000
 
 
+def test_star_past_the_budget_is_bounded():
+    # K_{1,400} with k = 4: the centre's two-vertex paths use up the search
+    # budget, so the partition is built.  Its separator must run a number
+    # of max flows linear in the leaves (one per leaf, from leaf 1, the
+    # lowest vertex of least degree), not one per pair of leaves
+    star = Graph(401, [(0, i) for i in range(1, 401)])
+    with pytest.raises(hamilton.SearchBudgetExceeded):
+        longpath._dfs_longpath(star, k=4, budget=hamilton.SEARCH_NODES)
+    t0 = time.perf_counter()
+    assert solve_long_path(star, 4) is None
+    assert time.perf_counter() - t0 < 8.0
+
+
 def test_direct_small_witnesses_are_checked(monkeypatch):
     # k <= 3 is answered without the search; a wrong witness on that branch
     # must raise, not be returned; here vertex 0 has no edge, but is told

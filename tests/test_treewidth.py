@@ -82,24 +82,13 @@ def test_heuristic_always_valid(seed, n):
     assert validate(g, td)
 
 
-def networkx_min_fill(g):
-    """networkx's treewidth_min_fill_in, converted as heuristic_decomposition
-    converts its own result (bags sorted lexicographically)."""
-    if g.n <= 1:
-        return heuristic_decomposition(g)
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    _, dec = treewidth_min_fill_in(h)
-    bags = sorted(dec.nodes, key=lambda s: tuple(sorted(s)))
-    index = {bag: i for i, bag in enumerate(bags)}
-    edges = sorted((min(index[a], index[b]), max(index[a], index[b])) for a, b in dec.edges)
-    return TreeDecomposition(tuple(bags), tuple(edges))
-
-
 def test_heuristic_is_networkx_min_fill():
-    graphs = []
-    for seed in range(2000):
+    # networkx's min-fill decomposition in canonical form: the same width,
+    # bags and tree edges, with the bags sorted by their sorted tuples and
+    # the tree edges as sorted index pairs
+    graphs = [Graph(n, []) for n in range(3)] + [Graph(2, [(0, 1)]), Graph(7, [])]
+    graphs += [Graph(n, list(itertools.combinations(range(n), 2))) for n in (3, 7)]
+    for seed in range(30):
         rng = random.Random(seed)
         graphs.append(random_graph(rng.randint(0, 30), rng.random(), seed))
     for seed in range(20):
@@ -107,7 +96,23 @@ def test_heuristic_is_networkx_min_fill():
         graphs.append(intersection_graph(generate_instance(
             d=2, beta=2.0, n=n, box_side=0.9 * n ** 0.5, shape_mix=0.5, seed=seed)))
     for i, g in enumerate(graphs):
-        assert heuristic_decomposition(g) == networkx_min_fill(g), i
+        td = heuristic_decomposition(g)
+        assert validate(g, td), i
+        keys = [tuple(sorted(bag)) for bag in td.bags]
+        assert keys == sorted(keys), i
+        assert list(td.tree_edges) == sorted(td.tree_edges), i
+        assert all(a < b for a, b in td.tree_edges), i
+        if g.n == 0:  # networkx gives one empty bag; the package gives none
+            assert td == TreeDecomposition((), ()), i
+            continue
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        width, dec = treewidth_min_fill_in(h)
+        assert td.width == width, i
+        assert len(td.bags) == len(dec) and set(td.bags) == set(dec), i
+        tree = {frozenset((td.bags[a], td.bags[b])) for a, b in td.tree_edges}
+        assert tree == set(map(frozenset, dec.edges)), i
 
 
 def test_decomposition_is_stored_on_the_graph():
